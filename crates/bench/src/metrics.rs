@@ -27,35 +27,59 @@ use pq_traits::trace;
 
 /// Version of the exported JSON layout, bumped on breaking shape
 /// changes. Version 2 added the `meta` block itself; version 3 added
-/// the runtime-detected `cpu_features` list and the dispatched
-/// `simd_tier` (both from [`lsm::KernelTier`]), so a recorded run
-/// states which kernel tier actually produced its numbers.
-pub const SCHEMA_VERSION: u32 = 3;
+/// the runtime-detected `cpu_features` list; version 4 dropped the
+/// LSM kernel-tier field (the LSM has one kernel configuration) and
+/// added the host's `nproc` and the `oversubscribed` flag, so a
+/// recorded run states whether its thread count was scaling or
+/// time-slicing.
+pub const SCHEMA_VERSION: u32 = 4;
 
 /// The self-describing `meta` object every JSON export embeds: schema
 /// version, compiled feature switches, worker thread count (0 when the
 /// export spans several thread counts and the per-cell value governs),
-/// host OS/arch, the runtime-detected CPU feature set, and the kernel
-/// tier the LSM dispatch selected (honouring `LSM_FORCE_KERNEL_TIER`),
-/// so a BENCH_*.json can be interpreted long after the run that
-/// produced it.
+/// host OS/arch, hardware thread count, whether `threads` exceeds it,
+/// and the runtime-detected CPU feature set, so a BENCH_*.json can be
+/// interpreted long after the run that produced it.
 pub fn run_metadata_json(threads: usize) -> String {
-    let cpu_features = lsm::KernelTier::detected_cpu_features()
+    let nproc = std::thread::available_parallelism().map_or(1, usize::from);
+    let cpu_features = detected_cpu_features()
         .iter()
-        .map(|f| format!("\"{}\"", json_escape(f)))
+        .map(|f| format!("\"{f}\""))
         .collect::<Vec<_>>()
         .join(", ");
     format!(
         "{{\"schema_version\": {SCHEMA_VERSION}, \"os\": \"{}\", \"arch\": \"{}\", \
-         \"threads\": {threads}, \"cpu_features\": [{cpu_features}], \
-         \"simd_tier\": \"{}\", \
+         \"threads\": {threads}, \"nproc\": {nproc}, \"oversubscribed\": {}, \
+         \"cpu_features\": [{cpu_features}], \
          \"features\": {{\"telemetry\": {}, \"trace\": {}}}}}",
         json_escape(std::env::consts::OS),
         json_escape(std::env::consts::ARCH),
-        json_escape(lsm::active_tier().name()),
+        threads > nproc,
         telemetry::enabled(),
         trace::compiled(),
     )
+}
+
+/// Runtime-detected vector extensions of the host CPU, in a fixed
+/// order. Empty on non-x86_64 targets.
+fn detected_cpu_features() -> Vec<&'static str> {
+    #[cfg(target_arch = "x86_64")]
+    {
+        let mut out = Vec::new();
+        macro_rules! probe {
+            ($($f:tt),*) => {
+                $(if std::arch::is_x86_feature_detected!($f) {
+                    out.push($f);
+                })*
+            };
+        }
+        probe!("sse4.2", "avx", "avx2", "avx512f", "avx512bw", "avx512dq", "avx512vl");
+        out
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        Vec::new()
+    }
 }
 
 /// Escape a string for embedding in a JSON string literal.
@@ -513,15 +537,18 @@ mod tests {
         assert!(json.contains("\"threads\": 2,"), "meta threads missing: {json}");
         assert!(json.contains(&format!("\"telemetry\": {}", telemetry::enabled())));
         assert!(json.contains(&format!("\"trace\": {}", trace::compiled())));
-        // v3: the dispatched kernel tier and detected CPU feature set.
-        assert!(
-            json.contains(&format!("\"simd_tier\": \"{}\"", lsm::active_tier().name())),
-            "meta simd_tier missing: {json}"
-        );
         assert!(json.contains("\"cpu_features\": ["), "meta cpu_features missing: {json}");
+        // v4: the host's hardware thread count and whether the run
+        // exceeded it.
+        let nproc = std::thread::available_parallelism().map_or(1, usize::from);
+        assert!(json.contains(&format!("\"nproc\": {nproc},")), "meta nproc missing: {json}");
+        assert!(json.contains(&format!("\"oversubscribed\": {},", 2 > nproc)));
         // The standalone helper matches what the report embeds.
-        assert_balanced(&run_metadata_json(8));
-        assert!(run_metadata_json(8).contains("\"threads\": 8"));
+        let over = run_metadata_json(nproc + 1);
+        assert_balanced(&over);
+        assert!(over.contains(&format!("\"threads\": {}", nproc + 1)));
+        assert!(over.contains("\"oversubscribed\": true"));
+        assert!(run_metadata_json(0).contains("\"oversubscribed\": false"));
     }
 
     #[test]

@@ -170,7 +170,7 @@ impl DlsmHandle<'_> {
         if self.ins_buf.is_empty() {
             return 0;
         }
-        lsm::sort_items(&mut self.ins_buf);
+        self.ins_buf.sort_unstable();
         let n = self.ins_buf.len() as u64;
         self.dlsm
             .with_slot(self.slot, |l| l.merge_in_from(&self.ins_buf));

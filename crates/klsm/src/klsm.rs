@@ -110,7 +110,7 @@ impl KlsmHandle<'_> {
         if self.ins_buf.is_empty() {
             return 0;
         }
-        lsm::sort_items(&mut self.ins_buf);
+        self.ins_buf.sort_unstable();
         let n = self.ins_buf.len() as u64;
         self.q
             .dlsm

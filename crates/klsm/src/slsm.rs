@@ -109,7 +109,7 @@ impl Slsm {
     /// new block; equal-capacity blocks are merged copy-on-write and the
     /// pivot range is recomputed before the new list is published.
     pub fn insert_batch(&self, mut items: Vec<Item>) {
-        lsm::sort_items(&mut items);
+        items.sort_unstable();
         self.insert_sorted_batch(items);
     }
 

@@ -1,81 +1,43 @@
-//! Branch-free small-block kernels: sorting networks, bitonic and
-//! bidirectional merges, and a k-way loser tree.
+//! Merge and scan kernels of the LSM: a scalar cursor merge, a
+//! bidirectional two-chain merge, a k-way loser tree and a branchless
+//! argmin.
 //!
-//! PR 4 made the LSM merge path allocation-free; what remains in the hot
-//! loops is element-at-a-time compare work. This module provides
-//! data-independent replacements; the subset that *measured* faster than
-//! the (already branchless) scalar kernels forms the production path:
+//! What the LSM's hot loops do is element-at-a-time compare work; each
+//! kernel here won its place inside the whole queue (EXPERIMENTS.md
+//! "Branch-free kernel ablation" records the arms that lost):
 //!
 //! * **Bidirectional two-chain merge** ([`merge_bidirectional_append`]):
-//!   the production pairwise merge from [`MERGE_PATH_MIN`] combined
-//!   items up ([`crate::Block::merge_with`]). Two independent
-//!   merge chains — one from the fronts, one from the backs — run
-//!   interleaved inside a joint safe window, doubling the
-//!   instruction-level parallelism of the latency-chain-bound scalar
-//!   cursor merge. 1.2–1.9× on every measured shape from 4+4 up.
+//!   the pairwise merge from [`MERGE_PATH_MIN`] combined items up
+//!   ([`crate::Block::merge_into`]). Two independent merge chains — one
+//!   from the fronts, one from the backs — run interleaved inside a
+//!   joint safe window, doubling the instruction-level parallelism of
+//!   the latency-chain-bound scalar cursor merge. 1.2–1.9× on every
+//!   measured shape from 4+4 up.
+//! * **Scalar cursor merge** ([`scalar_merge_append`]): the pairwise
+//!   merge below [`MERGE_PATH_MIN`], and the reference the
+//!   bidirectional kernel is tested against.
 //! * **k-way loser tree** ([`k_way_merge_into`]): drains `k` sorted
 //!   runs in one `O(total · log k)` pass — one comparison per tree
-//!   level per emitted item — replacing the `O(total · k)`
-//!   repeated-pairwise head scan in `take_all_sorted`. Tree state lives
+//!   level per emitted item — for `take_all_sorted`. Tree state lives
 //!   in a pooled scratch buffer plus fixed stack arrays.
 //! * **Branchless head argmin** ([`argmin`]): conditional-move scan of
 //!   the dense block-minima mirror, used by `delete_min`.
-//! * **Sorting networks** ([`sort_items`], [`NETWORK_MAX_CAP`]):
-//!   Batcher odd-even merge-sort networks over packed lanes,
-//!   monomorphized per power-of-two size class (2..=32); the
-//!   compare-exchange schedule depends only on indices, so every
-//!   comparison compiles to conditional moves. Used for small batch
-//!   sorting in `from_items`.
 //!
-//! Two further tiers — the tier-1 merge network ([`merge_network_into`])
-//! and the chunked bitonic merge ([`merge_bitonic_chunked`], after
-//! Chhugani et al.; see also arXiv:2504.11652) — measured *slower* than
-//! the scalar cursor merge on the benched hardware (see EXPERIMENTS.md
-//! "Branch-free kernel ablation" for numbers and the predictor-
-//! memorization measurement caveat). They are kept fully tested and
-//! telemetered as ablation arms, not dispatched on the production path.
-//!
-//! All kernels are allocation-free under the [`crate::BlockPool`]:
-//! network buffers are fixed stack arrays, the loser tree's head mirror
-//! is drawn from the pool, and outputs are written into pool-drawn
-//! buffers. Kernel selection is observable through the
-//! `lsm_kernel_network_hits` / `lsm_kernel_bitonic_hits` /
-//! `lsm_kernel_bidi_hits` / `lsm_kernel_losertree_passes` telemetry
-//! counters, and every kernel `debug_assert!`s the sortedness of its
+//! All kernels are allocation-free under the [`crate::BlockPool`]: the
+//! loser tree's head mirror is drawn from the pool and outputs are
+//! written into pool-drawn buffers. The `lsm_kernel_bidi_hits` and
+//! `lsm_kernel_losertree_passes` telemetry counters count kernel
+//! invocations, and every kernel `debug_assert!`s the sortedness of its
 //! output in debug builds.
-//!
-//! The cutoff constants below are the single source of truth; call sites
-//! must reference them instead of repeating the numbers.
 
-use crate::pool::BlockPool;
-use crate::simd::{self, KernelTier};
 use pq_traits::{telemetry, Item};
 
-/// Largest combined block size handled by the tier-1 sorting/merging
-/// networks. Chosen so the padded network buffer (32 × 16-byte items =
-/// 512 B) stays inside L1 and the deepest network (Batcher over 32) is
-/// still cheap; the `lsm_kernels` bench ablation (EXPERIMENTS.md
-/// "Branch-free kernel ablation") backs this cutoff.
-pub const NETWORK_MAX_CAP: usize = 32;
-
-/// Items per refill chunk of the tier-2 bitonic merge: 8 items × 16 B =
-/// two cache lines per load, a 16-element (four-stage) merge network per
-/// emitted chunk. Both inputs must hold at least one full chunk or the
-/// merge falls back to the scalar cursor kernel.
-pub const BITONIC_CHUNK: usize = 8;
-
-/// Stack buffer width of the tier-2 merge network (two chunks).
-const BITONIC_BUF: usize = 2 * BITONIC_CHUNK;
-
-/// Smallest combined size routed to the tier-2b bidirectional merge
+/// Smallest combined size routed to the bidirectional merge
 /// ([`merge_bidirectional_append`]). The two-chain kernel wins on every
 /// measured shape from 4+4 up (1.2–1.9× over the scalar cursor merge,
 /// see EXPERIMENTS.md "Branch-free kernel ablation"); below this the
 /// per-call window bookkeeping doesn't amortize and the scalar cursor
-/// kernel is used. The tier-1 merge network and the tier-2 chunked
-/// bitonic kernel measured *slower* than the already-branchless scalar
-/// merge on the benched hardware, so they are kept (tested, telemetered)
-/// as ablation arms rather than on the production merge path.
+/// kernel is used.
 pub const MERGE_PATH_MIN: usize = 8;
 
 /// Maximum fan-in of the loser tree: an LSM holds at most
@@ -85,23 +47,20 @@ pub(crate) const MAX_FANOUT: usize = usize::BITS as usize + 1;
 /// Loser-tree node capacity: [`MAX_FANOUT`] rounded up to a power of two.
 const TREE_CAP: usize = MAX_FANOUT.next_power_of_two();
 
-/// Padding value for network buffers and exhausted loser-tree runs.
-/// A *real* item may compare equal to the sentinel; every kernel below
-/// remains correct in that case because equal items are bit-identical
-/// `Copy` data — emitting the sentinel copy instead of the real item
-/// yields the same output bytes.
+/// Padding value for exhausted loser-tree runs. A *real* item may
+/// compare equal to the sentinel; the loser tree remains correct in
+/// that case because equal items are bit-identical `Copy` data —
+/// emitting the sentinel copy instead of the real item yields the same
+/// output bytes.
 pub(crate) const SENTINEL: Item = Item::new(u64::MAX, u64::MAX);
 
-/// Network lane: an [`Item`] packed as `(key << 64) | value`, so the
-/// `(key, value)` lexicographic order becomes a single `u128` compare
-/// and a compare-exchange is two integer-register conditional-move
-/// pairs instead of a two-field struct compare the backend may lower to
-/// branches. Packing costs one shift+or per loaded item, unpacking one
-/// shift per emitted item — both off the critical compare path.
-pub(crate) type Lane = u128;
-
-/// [`SENTINEL`] in packed form (`u128::MAX`).
-const LANE_MAX: Lane = Lane::MAX;
+/// An [`Item`] packed as `(key << 64) | value`, so the `(key, value)`
+/// lexicographic order becomes a single `u128` compare and a select is
+/// two integer-register conditional moves instead of a two-field
+/// struct compare the backend may lower to branches. Packing costs one
+/// shift+or per loaded item, unpacking one shift per emitted item —
+/// both off the critical compare path.
+type Lane = u128;
 
 #[inline(always)]
 fn pack(it: Item) -> Lane {
@@ -113,224 +72,10 @@ fn unpack(lane: Lane) -> Item {
     Item::new((lane >> 64) as u64, lane as u64)
 }
 
-/// Branchless compare-exchange: after the call `buf[i] <= buf[j]`.
-/// The order of operands depends only on the data values, not on any
-/// branch — LLVM lowers the two selects to conditional moves.
-#[inline(always)]
-fn cex(buf: &mut [Lane], i: usize, j: usize) {
-    debug_assert!(i < j);
-    let a = buf[i];
-    let b = buf[j];
-    buf[i] = a.min(b);
-    buf[j] = a.max(b);
-}
-
-/// Batcher odd-even merge-sort network over a fixed power-of-two size.
-/// The `(p, k, j)` schedule is data-independent; for const `N` the
-/// compiler monomorphizes (and largely unrolls) one network per size
-/// class. The scalar tier runs the PR 5 per-element loop unchanged; the
-/// SIMD tiers feed the same schedule through [`simd::cex_span`], whose
-/// disjointness requirement the schedule satisfies because every span
-/// is capped at `k` (all low indices land in `[j, j+k)`, all high in
-/// `[j+k, j+2k)`).
-fn batcher_sort<const N: usize>(buf: &mut [Lane; N], tier: KernelTier) {
-    debug_assert!(N.is_power_of_two());
-    if tier == KernelTier::Scalar {
-        let mut p = 1;
-        while p < N {
-            let mut k = p;
-            while k >= 1 {
-                let mut j = k % p;
-                while j + k < N {
-                    let span = k.min(N - j - k);
-                    for i in 0..span {
-                        if (i + j) / (2 * p) == (i + j + k) / (2 * p) {
-                            cex(buf, i + j, i + j + k);
-                        }
-                    }
-                    j += 2 * k;
-                }
-                k /= 2;
-            }
-            p *= 2;
-        }
-        return;
-    }
-    let mut p = 1;
-    while p < N {
-        let mut k = p;
-        while k >= 1 {
-            let mut j = k % p;
-            while j + k < N {
-                let span = k.min(N - j - k);
-                // The guard `(t)/(2p) == (t+k)/(2p)` holds exactly when
-                // `t mod 2p < 2p - k`; over a window of length ≤ k ≤ p
-                // it flips at most once per 2p boundary, so the valid
-                // indices form contiguous runs that map onto vector
-                // compare-exchange spans.
-                let mut i = 0;
-                while i < span {
-                    let t = j + i;
-                    let r = t % (2 * p);
-                    if r < 2 * p - k {
-                        let run = span.min(i + (2 * p - k - r)) - i;
-                        simd::cex_span(tier, buf, t, t + k, run);
-                        i += run;
-                    } else {
-                        i += 2 * p - r;
-                    }
-                }
-                j += 2 * k;
-            }
-            k /= 2;
-        }
-        p *= 2;
-    }
-}
-
-/// Bitonic merge network: sorts a bitonic sequence (ascending run
-/// followed by a descending run) of fixed power-of-two length ascending.
-/// `log₂ N` stages of `N/2` independent compare-exchanges each. The
-/// scalar tier runs the PR 5 per-element loop unchanged; the SIMD tiers
-/// run each stage as `N/2k` disjoint compare-exchange spans of length
-/// `k` (pairs `(i, i+k)` for `i` in a `k`-aligned block).
-fn bitonic_merge_pow2<const N: usize>(buf: &mut [Lane; N], tier: KernelTier) {
-    debug_assert!(N.is_power_of_two());
-    if tier == KernelTier::Scalar {
-        let mut k = N / 2;
-        while k >= 1 {
-            let mut i = 0;
-            while i < N {
-                cex(buf, i, i + k);
-                i += 1;
-                // Skip to the next pair block once the low `k` indices of
-                // this one are exhausted (index arithmetic only).
-                if i & k != 0 {
-                    i += k;
-                }
-            }
-            k /= 2;
-        }
-        return;
-    }
-    let mut k = N / 2;
-    while k >= 1 {
-        let mut i = 0;
-        while i < N {
-            simd::cex_span(tier, buf, i, i + k, k);
-            i += 2 * k;
-        }
-        k /= 2;
-    }
-}
-
-/// Run the monomorphized Batcher network matching `n`'s size class over
-/// the first `next_power_of_two(n)` slots of `buf`.
-#[inline]
-fn batcher_dispatch(buf: &mut [Lane; NETWORK_MAX_CAP], n: usize, tier: KernelTier) {
-    debug_assert!(n <= NETWORK_MAX_CAP);
-    match n.next_power_of_two().max(2) {
-        2 => batcher_sort::<2>((&mut buf[..2]).try_into().expect("size 2"), tier),
-        4 => batcher_sort::<4>((&mut buf[..4]).try_into().expect("size 4"), tier),
-        8 => batcher_sort::<8>((&mut buf[..8]).try_into().expect("size 8"), tier),
-        16 => batcher_sort::<16>((&mut buf[..16]).try_into().expect("size 16"), tier),
-        _ => batcher_sort::<32>(buf, tier),
-    }
-}
-
-/// Run the monomorphized bitonic merge network matching `n`'s size class.
-#[inline]
-fn bitonic_dispatch(buf: &mut [Lane; NETWORK_MAX_CAP], n: usize, tier: KernelTier) {
-    debug_assert!(n <= NETWORK_MAX_CAP);
-    match n.next_power_of_two().max(2) {
-        2 => bitonic_merge_pow2::<2>((&mut buf[..2]).try_into().expect("size 2"), tier),
-        4 => bitonic_merge_pow2::<4>((&mut buf[..4]).try_into().expect("size 4"), tier),
-        8 => bitonic_merge_pow2::<8>((&mut buf[..8]).try_into().expect("size 8"), tier),
-        16 => bitonic_merge_pow2::<16>((&mut buf[..16]).try_into().expect("size 16"), tier),
-        _ => bitonic_merge_pow2::<32>(buf, tier),
-    }
-}
-
-/// Sort up to [`NETWORK_MAX_CAP`] items in place through the sorting
-/// network of their size class. Items are staged — packed — through a
-/// sentinel-padded stack buffer so the network always runs at its full
-/// class width.
-pub(crate) fn sort_network(items: &mut [Item], tier: KernelTier) {
-    let n = items.len();
-    debug_assert!(n <= NETWORK_MAX_CAP);
-    if n <= 1 {
-        return;
-    }
-    telemetry::record_quiet(telemetry::Event::LsmKernelNetworkHit);
-    if tier != KernelTier::Scalar {
-        telemetry::record_quiet(telemetry::Event::LsmKernelSimdCexHit);
-    }
-    let mut buf = [LANE_MAX; NETWORK_MAX_CAP];
-    for (lane, &it) in buf.iter_mut().zip(items.iter()) {
-        *lane = pack(it);
-    }
-    batcher_dispatch(&mut buf, n, tier);
-    for (it, &lane) in items.iter_mut().zip(buf.iter()) {
-        *it = unpack(lane);
-    }
-    debug_assert!(items.windows(2).all(|w| w[0] <= w[1]));
-}
-
-/// Sort a batch of items: the tier-1 network for small batches,
-/// `sort_unstable` beyond the network cutoff. `Item`'s total order over
-/// `(key, seq)` makes stability moot — equal items are bit-identical.
-/// Runs the process-wide [`simd::active_tier`]; queue internals that
-/// carry an instance tier use [`sort_items_tier`].
-pub fn sort_items(items: &mut [Item]) {
-    sort_items_tier(items, simd::active_tier());
-}
-
-/// [`sort_items`] at an explicit kernel tier.
-pub fn sort_items_tier(items: &mut [Item], tier: KernelTier) {
-    if items.len() <= NETWORK_MAX_CAP {
-        sort_network(items, tier);
-    } else {
-        items.sort_unstable();
-    }
-}
-
-/// Tier-1 merge of two sorted runs with `a.len() + b.len() <=`
-/// [`NETWORK_MAX_CAP`], appended to `out`. The runs are staged as a
-/// bitonic sequence — `a` ascending, sentinel padding, `b` reversed —
-/// and a single bitonic merge network of the combined size class sorts
-/// them with no data-dependent branches at all.
-pub fn merge_network_into(a: &[Item], b: &[Item], out: &mut Vec<Item>, tier: KernelTier) {
-    let total = a.len() + b.len();
-    debug_assert!(0 < total && total <= NETWORK_MAX_CAP);
-    debug_assert!(a.windows(2).all(|w| w[0] <= w[1]));
-    debug_assert!(b.windows(2).all(|w| w[0] <= w[1]));
-    telemetry::record_quiet(telemetry::Event::LsmKernelNetworkHit);
-    if tier != KernelTier::Scalar {
-        telemetry::record_quiet(telemetry::Event::LsmKernelSimdCexHit);
-    }
-    let n = total.next_power_of_two().max(2);
-    let mut buf = [LANE_MAX; NETWORK_MAX_CAP];
-    for (lane, &x) in buf.iter_mut().zip(a.iter()) {
-        *lane = pack(x);
-    }
-    // `a` ascending, a sentinel plateau, then `b` descending: bitonic.
-    for (i, &x) in b.iter().enumerate() {
-        buf[n - 1 - i] = pack(x);
-    }
-    bitonic_dispatch(&mut buf, n, tier);
-    let mut emit = [SENTINEL; NETWORK_MAX_CAP];
-    for (it, &lane) in emit.iter_mut().zip(buf.iter()) {
-        *it = unpack(lane);
-    }
-    out.extend_from_slice(&emit[..total]);
-    debug_assert!(out.windows(2).all(|w| w[0] <= w[1]) || out.len() > total);
-}
-
-/// Scalar branchless cursor merge of two sorted runs, appended to `out`
-/// (the PR 4 kernel, generalized to append). Exactly one cursor advances
-/// per iteration, by `take_a as usize`, compiling to conditional moves.
-/// Remains the fallback for lopsided merges the chunked kernel cannot
-/// cover and for the kernels-off A/B arm.
+/// Scalar branchless cursor merge of two sorted runs, appended to
+/// `out`. Exactly one cursor advances per iteration, by
+/// `take_a as usize`, compiling to conditional moves. The pairwise
+/// merge below [`MERGE_PATH_MIN`] combined items.
 pub fn scalar_merge_append(sa: &[Item], sb: &[Item], out: &mut Vec<Item>) {
     let total = sa.len() + sb.len();
     let base = out.len();
@@ -362,7 +107,7 @@ pub fn scalar_merge_append(sa: &[Item], sb: &[Item], out: &mut Vec<Item>) {
     }
 }
 
-/// Tier-2b bidirectional branch-free merge of two sorted runs, appended
+/// Bidirectional branch-free merge of two sorted runs, appended
 /// to `out`. Used above [`MERGE_PATH_MIN`] total items, where the
 /// scalar cursor merge is limited by its serial `compare → conditional
 /// cursor bump → dependent load` chain (~a dozen cycles per item)
@@ -513,84 +258,7 @@ pub(crate) fn argmin(items: &[Item]) -> usize {
     idx
 }
 
-/// Tier-2 chunked bitonic merge of two sorted runs (each at least
-/// [`BITONIC_CHUNK`] long), appended to `out`.
-///
-/// The kernel keeps a `2 × BITONIC_CHUNK` stack buffer: the low half
-/// holds the carry (smallest unemitted items), the high half is refilled
-/// — reversed, making the buffer bitonic — from whichever input's next
-/// head is smaller. One four-stage merge network then makes the low half
-/// the next emitted chunk and the high half the new carry. The only
-/// data-dependent branch is the per-chunk refill choice. Tails shorter
-/// than a chunk are finished with the scalar kernel through a pooled
-/// scratch buffer.
-pub fn merge_bitonic_chunked(
-    a: &[Item],
-    b: &[Item],
-    out: &mut Vec<Item>,
-    pool: &mut BlockPool,
-    tier: KernelTier,
-) {
-    const W: usize = BITONIC_CHUNK;
-    debug_assert!(a.len() >= W && b.len() >= W);
-    debug_assert!(a.windows(2).all(|w| w[0] <= w[1]));
-    debug_assert!(b.windows(2).all(|w| w[0] <= w[1]));
-    telemetry::record_quiet(telemetry::Event::LsmKernelBitonicHit);
-    if tier != KernelTier::Scalar {
-        telemetry::record_quiet(telemetry::Event::LsmKernelSimdCexHit);
-    }
-    let base = out.len();
-    out.reserve(a.len() + b.len());
-    let mut buf = [LANE_MAX; BITONIC_BUF];
-    for i in 0..W {
-        buf[i] = pack(a[i]);
-        buf[BITONIC_BUF - 1 - i] = pack(b[i]);
-    }
-    let (mut ia, mut ib) = (W, W);
-    loop {
-        bitonic_merge_pow2::<BITONIC_BUF>(&mut buf, tier);
-        let mut emit = [SENTINEL; W];
-        for (it, &lane) in emit.iter_mut().zip(buf.iter()) {
-            *it = unpack(lane);
-        }
-        out.extend_from_slice(&emit);
-        if ia + W > a.len() || ib + W > b.len() {
-            break;
-        }
-        // Carry the W largest forward; refill from the input whose next
-        // item is smaller (the W smallest of everything loaded so far
-        // are then guaranteed to sit in the buffer).
-        buf.copy_within(W.., 0);
-        let from_a = a[ia] <= b[ib];
-        let src = if from_a { &a[ia..ia + W] } else { &b[ib..ib + W] };
-        for i in 0..W {
-            buf[BITONIC_BUF - 1 - i] = pack(src[i]);
-        }
-        if from_a {
-            ia += W;
-        } else {
-            ib += W;
-        }
-    }
-    // Tail: the carry (sorted, W items) plus both input remainders, of
-    // which at least one is shorter than a chunk. Merge the carry with
-    // the shorter remainder through pooled scratch, then append the
-    // result against the longer one with the scalar kernel.
-    let mut carry = [SENTINEL; W];
-    for (it, &lane) in carry.iter_mut().zip(buf[W..].iter()) {
-        *it = unpack(lane);
-    }
-    let (ra, rb) = (&a[ia..], &b[ib..]);
-    let (short, long) = if ra.len() <= rb.len() { (ra, rb) } else { (rb, ra) };
-    let mut scratch = pool.acquire(W + short.len());
-    scalar_merge_append(&carry, short, &mut scratch);
-    scalar_merge_append(&scratch, long, out);
-    pool.release(scratch);
-    debug_assert!(out[base..].windows(2).all(|w| w[0] <= w[1]));
-    debug_assert_eq!(out.len() - base, a.len() + b.len());
-}
-
-/// Tier-3 k-way merge of `runs` (each sorted ascending) into `out`
+/// k-way merge of `runs` (each sorted ascending) into `out`
 /// through a loser tree: one comparison per tree level per emitted item,
 /// `O(total · log k)` overall, versus the `O(total · k)` repeated
 /// head-scan it replaces.
@@ -670,80 +338,7 @@ mod tests {
     #[test]
     #[allow(clippy::assertions_on_constants)]
     fn cutoffs_are_consistent() {
-        assert!(NETWORK_MAX_CAP.is_power_of_two());
-        assert!(BITONIC_CHUNK.is_power_of_two());
-        assert!(BITONIC_BUF <= NETWORK_MAX_CAP);
         assert!(TREE_CAP >= MAX_FANOUT);
-    }
-
-    #[test]
-    fn sort_network_every_size_reversed() {
-        for tier in KernelTier::available_tiers() {
-            for n in 0..=NETWORK_MAX_CAP {
-                let mut v = items(&(0..n as u64).rev().collect::<Vec<_>>());
-                sort_network(&mut v, tier);
-                let mut expect = v.clone();
-                expect.sort();
-                assert_eq!(v, expect, "size {n} tier {}", tier.name());
-            }
-        }
-    }
-
-    #[test]
-    fn sort_network_handles_sentinel_valued_items() {
-        for tier in KernelTier::available_tiers() {
-            let mut v = vec![
-                Item::new(u64::MAX, u64::MAX),
-                Item::new(3, 0),
-                Item::new(u64::MAX, u64::MAX),
-                Item::new(1, 9),
-            ];
-            sort_network(&mut v, tier);
-            assert_eq!(v[0], Item::new(1, 9));
-            assert_eq!(v[1], Item::new(3, 0));
-            assert_eq!(v[2], Item::new(u64::MAX, u64::MAX));
-            assert_eq!(v[3], Item::new(u64::MAX, u64::MAX));
-        }
-    }
-
-    #[test]
-    fn merge_network_all_split_shapes() {
-        for tier in KernelTier::available_tiers() {
-            for la in 1..=16usize {
-                for lb in 1..=16usize {
-                    let a: Vec<Item> = (0..la as u64).map(|k| Item::new(2 * k, 0)).collect();
-                    let b: Vec<Item> = (0..lb as u64).map(|k| Item::new(2 * k + 1, 1)).collect();
-                    let mut out = Vec::with_capacity(la + lb);
-                    merge_network_into(&a, &b, &mut out, tier);
-                    let mut expect = [a, b].concat();
-                    expect.sort();
-                    assert_eq!(out, expect, "la={la} lb={lb} tier {}", tier.name());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn chunked_bitonic_matches_scalar() {
-        let mut pool = BlockPool::new();
-        let mut rng = 0x1234u64;
-        let mut next = move || {
-            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            rng >> 33
-        };
-        for tier in KernelTier::available_tiers() {
-            for (la, lb) in [(8, 8), (8, 9), (17, 8), (64, 64), (100, 9), (9, 100), (33, 57)] {
-                let mut a: Vec<Item> = (0..la).map(|i| Item::new(next() % 64, i)).collect();
-                let mut b: Vec<Item> = (0..lb).map(|i| Item::new(next() % 64, 1000 + i)).collect();
-                a.sort();
-                b.sort();
-                let mut out = Vec::new();
-                merge_bitonic_chunked(&a, &b, &mut out, &mut pool, tier);
-                let mut expect = [a.clone(), b.clone()].concat();
-                expect.sort();
-                assert_eq!(out, expect, "la={la} lb={lb} tier {}", tier.name());
-            }
-        }
     }
 
     #[test]
@@ -773,28 +368,6 @@ mod tests {
         let mut out = Vec::new();
         k_way_merge_into(&runs, &mut heads, &mut out);
         assert_eq!(out, vec![Item::new(1, 0), max, max, max]);
-    }
-
-    #[cfg(feature = "telemetry")]
-    #[test]
-    fn kernel_tiers_record_telemetry() {
-        use pq_traits::telemetry::{snapshot, Event};
-        let before = snapshot();
-        let mut v = items(&[3, 1, 2]);
-        sort_network(&mut v, KernelTier::Scalar);
-        let mut out = Vec::new();
-        merge_network_into(&v, &v.clone(), &mut out, KernelTier::Scalar);
-        let big: Vec<Item> = (0..32).map(|k| Item::new(k, 0)).collect();
-        out.clear();
-        merge_bitonic_chunked(&big, &big.clone(), &mut out, &mut BlockPool::new(), KernelTier::Scalar);
-        let runs = [big.as_slice(), v.as_slice()];
-        let mut heads = Vec::with_capacity(TREE_CAP);
-        out.clear();
-        k_way_merge_into(&runs, &mut heads, &mut out);
-        let d = snapshot().since(&before);
-        assert!(d.get(Event::LsmKernelNetworkHit) >= 2);
-        assert!(d.get(Event::LsmKernelBitonicHit) >= 1);
-        assert!(d.get(Event::LsmKernelLoserTreePass) >= 1);
     }
 
     #[test]
@@ -833,8 +406,7 @@ mod tests {
 
     #[test]
     fn argmin_returns_first_minimum() {
-        // Ties must resolve to the first occurrence, matching the
-        // branchy `<` scan the kernels-off arm runs.
+        // Ties must resolve to the first occurrence.
         let v = items(&[5, 2, 9, 2, 7]);
         assert_eq!(argmin(&v), 1);
         let same = vec![Item::new(4, 4); 6];
@@ -876,38 +448,6 @@ mod tests {
                 .map(|(i, _)| i)
                 .expect("non-empty");
             proptest::prop_assert_eq!(argmin(&v), expect);
-        }
-
-        #[test]
-        fn prop_batcher_matches_std_sort(
-            keys in proptest::collection::vec(0u64..16, 0..NETWORK_MAX_CAP + 1)
-        ) {
-            for tier in KernelTier::available_tiers() {
-                let mut v = items(&keys);
-                let mut expect = v.clone();
-                sort_network(&mut v, tier);
-                expect.sort();
-                proptest::prop_assert_eq!(v, expect);
-            }
-        }
-
-        #[test]
-        fn prop_chunked_bitonic_equivalent(
-            a in proptest::collection::vec(0u64..100, BITONIC_CHUNK..80),
-            b in proptest::collection::vec(0u64..100, BITONIC_CHUNK..80),
-        ) {
-            let (mut a, mut b) = (a, b);
-            a.sort_unstable();
-            b.sort_unstable();
-            let ia: Vec<Item> = a.iter().map(|&k| Item::new(k, 0)).collect();
-            let ib: Vec<Item> = b.iter().map(|&k| Item::new(k, 1)).collect();
-            let mut expect = [ia.clone(), ib.clone()].concat();
-            expect.sort();
-            for tier in KernelTier::available_tiers() {
-                let mut out = Vec::new();
-                merge_bitonic_chunked(&ia, &ib, &mut out, &mut BlockPool::new(), tier);
-                proptest::prop_assert_eq!(out, expect.clone());
-            }
         }
     }
 }

@@ -21,24 +21,19 @@
 //! pair into pool-drawn capacity-2 blocks, the merge cascade recycles
 //! its sources, and compaction happens in place. `cargo test -p lsm
 //! --test alloc_free` proves this with a counting global allocator.
-//! Merging and draining run the branch-free kernels from [`kernels`];
-//! [`Lsm::with_kernels_disabled`] keeps the PR 4 scalar path as an A/B
-//! arm, and [`legacy::LegacyLsm`] preserves the pre-pool kernels
-//! (`lsm_kernels` in `pq-bench` benches all five arms, including
-//! [`Lsm::with_simd_disabled`], the scalar-tier dispatch).
+//! Merging, draining and the head scan run the kernels from
+//! [`kernels`]. There is one configuration; the arms it was chosen over
+//! are recorded in EXPERIMENTS.md.
 
 #![warn(missing_docs)]
 
 pub mod block;
 pub mod kernels;
-pub mod legacy;
 pub mod pool;
-pub mod simd;
 
 pub use block::Block;
-pub use kernels::{sort_items, sort_items_tier, BITONIC_CHUNK, MERGE_PATH_MIN, NETWORK_MAX_CAP};
+pub use kernels::MERGE_PATH_MIN;
 pub use pool::{BlockPool, PoolStats};
-pub use simd::{active_tier, KernelTier};
 
 use std::collections::VecDeque;
 
@@ -52,7 +47,7 @@ use pq_traits::{Item, Key, SequentialPq, Value};
 /// cascade). Insertion appends a singleton block and merges the tail run
 /// right-to-left, so insertion cost is O(log n) amortized and
 /// `delete_min` is O(log n) worst case (scan of ≤ log n block heads).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Lsm {
     /// Sorted by strictly decreasing capacity; front is largest.
     blocks: VecDeque<Block>,
@@ -61,47 +56,16 @@ pub struct Lsm {
     /// every block's buffer — one or two contiguous cache lines instead
     /// of a scattered load per block.
     heads: Vec<Item>,
-    /// `head_keys[i] == heads[i].key`: a keys-only twin of the head
-    /// mirror. The SIMD argmin reads this array with plain 512-bit
-    /// loads — eight candidate keys per register with no key-extraction
-    /// shuffles — and only touches `heads` to tie-break equal keys.
-    /// Maintained unconditionally (one extra `u64` store per head
-    /// update) so every A/B arm pays the same bookkeeping.
-    head_keys: Vec<u64>,
     len: usize,
     pool: BlockPool,
-    /// Branch-free kernel tiers enabled (see [`kernels`]). `false` only
-    /// on the kernels-off A/B arm, which runs the PR 4 scalar merge and
-    /// repeated-pairwise drain instead.
-    branch_free: bool,
-    /// SIMD kernel tier dispatched at construction (see [`simd`]):
-    /// [`simd::active_tier`] by default, [`KernelTier::Scalar`] on the
-    /// simd-off A/B arm (the frozen PR 5 dispatch) and whenever
-    /// `branch_free` is off.
-    tier: KernelTier,
-    /// Deferred singleton (branch-free arm only): every other insert
-    /// parks its item here in O(1) instead of materializing a
-    /// capacity-1 block, and the next insert merges the pair straight
-    /// into a capacity-2 block — the singleton block machinery (pool
-    /// round-trip, capacity computation, deque and head-mirror pushes)
-    /// drops out of the hot path entirely. `delete_min`/`peek_min`
-    /// compare it against the block heads; drains flush it first.
+    /// Deferred singleton: every other insert parks its item here in
+    /// O(1) instead of materializing a capacity-1 block, and the next
+    /// insert merges the pair straight into a capacity-2 block — the
+    /// singleton block machinery (pool round-trip, capacity
+    /// computation, deque and head-mirror pushes) drops out of the hot
+    /// path entirely. `delete_min`/`peek_min` compare it against the
+    /// block heads; drains flush it first.
     staged: Option<Item>,
-}
-
-impl Default for Lsm {
-    fn default() -> Self {
-        Self {
-            blocks: VecDeque::new(),
-            heads: Vec::new(),
-            head_keys: Vec::new(),
-            len: 0,
-            pool: BlockPool::new(),
-            branch_free: true,
-            tier: simd::active_tier(),
-            staged: None,
-        }
-    }
 }
 
 impl Lsm {
@@ -110,69 +74,11 @@ impl Lsm {
         Self::default()
     }
 
-    /// Create an empty LSM whose pool never recycles buffers (every
-    /// structural change allocates, as pre-pool). The "pool off" arm of
-    /// the allocation ablation; kernels are otherwise identical.
-    pub fn with_pool_disabled() -> Self {
-        Self {
-            pool: BlockPool::disabled(),
-            ..Self::default()
-        }
-    }
-
-    /// Create an empty LSM with the branch-free kernel tiers disabled:
-    /// merges run the scalar cursor kernel and draining runs the
-    /// repeated-pairwise head scan, exactly the PR 4 pooled baseline.
-    /// The "kernels off" arm of the `lsm_kernels` ablation.
-    pub fn with_kernels_disabled() -> Self {
-        Self {
-            branch_free: false,
-            tier: KernelTier::Scalar,
-            ..Self::default()
-        }
-    }
-
-    /// Create an empty LSM with the scalar kernel tier pinned: the full
-    /// PR 5 branch-free dispatch (bidirectional merge, loser tree,
-    /// branchless argmin) but none of the SIMD kernels. The "simd off"
-    /// arm of the `lsm_kernels` ablation.
-    pub fn with_simd_disabled() -> Self {
-        Self::with_tier(KernelTier::Scalar)
-    }
-
-    /// Create an empty LSM dispatching an explicit kernel tier, clamped
-    /// to what the running CPU supports. Lets one process exercise
-    /// several tiers side by side (the forced-tier equivalence tests);
-    /// production construction uses [`Lsm::new`], which dispatches
-    /// [`simd::active_tier`].
-    pub fn with_tier(tier: KernelTier) -> Self {
-        let hw = KernelTier::detect_hw();
-        Self {
-            tier: tier.min(hw),
-            ..Self::default()
-        }
-    }
-
-    /// The SIMD kernel tier this LSM dispatches.
-    pub fn kernel_tier(&self) -> KernelTier {
-        self.tier
-    }
-
     /// Build an LSM holding `items` (need not be sorted) as a single
-    /// block. O(n log n); small batches go through the tier-1 sorting
-    /// network.
+    /// block. O(n log n).
     pub fn from_items(mut items: Vec<Item>) -> Self {
-        kernels::sort_items(&mut items);
+        items.sort_unstable();
         Self::from_sorted(items)
-    }
-
-    /// As [`Lsm::from_items`] at an explicit kernel tier (clamped to
-    /// hardware support), covering the batch-sort path too.
-    pub fn from_items_tier(mut items: Vec<Item>, tier: KernelTier) -> Self {
-        let mut lsm = Self::with_tier(tier);
-        kernels::sort_items_tier(&mut items, lsm.tier);
-        lsm.rebuild_from_sorted(items);
-        lsm
     }
 
     /// Build an LSM from already-sorted items as a single block.
@@ -212,7 +118,7 @@ impl Lsm {
     pub fn pop_largest_block(&mut self) -> Option<Vec<Item>> {
         let block = self.blocks.pop_front()?;
         // Front-shift of at most ~log n cached heads; eviction is rare.
-        self.heads_remove(0);
+        self.heads.remove(0);
         self.len -= block.len();
         Some(block.into_sorted_items())
     }
@@ -221,19 +127,16 @@ impl Lsm {
     /// already-sorted blocks (no collect-then-sort). Used by DLSM
     /// spying. The drained block buffers are recycled into the pool.
     ///
-    /// With the branch-free kernels enabled the k-way merge runs through
-    /// the [`kernels`] loser tree — one comparison per tree level per
-    /// emitted item, `O(total · log k)` — with its head mirror in a
-    /// pooled scratch buffer. The kernels-off arm keeps the PR 4
-    /// repeated-pairwise head scan (`O(total · k)`), which doubles as
-    /// the reference for the differential tests.
+    /// The k-way merge runs through the [`kernels`] loser tree — one
+    /// comparison per tree level per emitted item, `O(total · log k)` —
+    /// with its head mirror in a pooled scratch buffer.
     pub fn take_all_sorted(&mut self) -> Vec<Item> {
         self.flush_staged();
         match self.blocks.len() {
             0 => return Vec::new(),
             1 => {
                 let block = self.blocks.pop_back().expect("one block");
-                self.heads_clear();
+                self.heads.clear();
                 self.len = 0;
                 return block.into_sorted_items();
             }
@@ -241,45 +144,22 @@ impl Lsm {
         }
         let nb = self.blocks.len();
         let mut out = self.pool.acquire(self.len);
-        if self.branch_free {
-            let mut scratch = self.pool.acquire(nb.next_power_of_two());
-            // ≤ ⌈log₂ n⌉ + 1 blocks on a 64-bit machine, so a fixed
-            // run-slice array suffices.
-            let mut runs: [&[Item]; usize::BITS as usize + 1] = [&[]; usize::BITS as usize + 1];
-            debug_assert!(nb <= runs.len());
-            for (slot, block) in runs.iter_mut().zip(self.blocks.iter()) {
-                *slot = block.live_slice();
-            }
-            kernels::k_way_merge_into(&runs[..nb], &mut scratch, &mut out);
-            self.pool.release(scratch);
-        } else {
-            let mut cursors = [0usize; usize::BITS as usize + 1];
-            debug_assert!(nb <= cursors.len());
-            loop {
-                let mut best: Option<(usize, Item)> = None;
-                for (i, block) in self.blocks.iter().enumerate() {
-                    let live = block.live_slice();
-                    if let Some(&head) = live.get(cursors[i]) {
-                        if best.is_none_or(|(_, cur)| head < cur) {
-                            best = Some((i, head));
-                        }
-                    }
-                }
-                match best {
-                    Some((i, item)) => {
-                        out.push(item);
-                        cursors[i] += 1;
-                    }
-                    None => break,
-                }
-            }
+        let mut scratch = self.pool.acquire(nb.next_power_of_two());
+        // ≤ ⌈log₂ n⌉ + 1 blocks on a 64-bit machine, so a fixed
+        // run-slice array suffices.
+        let mut runs: [&[Item]; kernels::MAX_FANOUT] = [&[]; kernels::MAX_FANOUT];
+        debug_assert!(nb <= runs.len());
+        for (slot, block) in runs.iter_mut().zip(self.blocks.iter()) {
+            *slot = block.live_slice();
         }
+        kernels::k_way_merge_into(&runs[..nb], &mut scratch, &mut out);
+        self.pool.release(scratch);
         debug_assert_eq!(out.len(), self.len);
         for _ in 0..nb {
             let block = self.blocks.pop_back().expect("counted");
             self.pool.release(block.into_buffer());
         }
-        self.heads_clear();
+        self.heads.clear();
         self.len = 0;
         out
     }
@@ -291,14 +171,14 @@ impl Lsm {
         while let Some(block) = self.blocks.pop_back() {
             self.pool.release(block.into_buffer());
         }
-        self.heads_clear();
+        self.heads.clear();
         self.staged = None;
         self.len = items.len();
         if !items.is_empty() {
             let block = Block::from_sorted(items);
             let head = block.head();
             self.blocks.push_back(block);
-            self.heads_push(head);
+            self.heads.push(head);
         }
         debug_assert!(self.check_invariants());
     }
@@ -310,7 +190,7 @@ impl Lsm {
         if let Some(item) = self.staged.take() {
             let singleton = Block::singleton_from(&mut self.pool, item);
             self.blocks.push_back(singleton);
-            self.heads_push(item);
+            self.heads.push(item);
             self.restore_distinct_capacities();
         }
     }
@@ -331,7 +211,7 @@ impl Lsm {
         let block = Block::from_sorted(items);
         let head = block.head();
         self.blocks.push_back(block);
-        self.heads_push(head);
+        self.heads.push(head);
         self.restore_distinct_capacities();
     }
 
@@ -376,7 +256,7 @@ impl Lsm {
         let block = Block::from_sorted(keep);
         let head = block.head();
         self.blocks.push_back(block);
-        self.heads_push(head);
+        self.heads.push(head);
         debug_assert!(self.check_invariants());
         steal
     }
@@ -389,13 +269,13 @@ impl Lsm {
     /// no interior shifting, no restarts.
     ///
     /// Each level's pairwise merge dispatches through
-    /// [`Block::merge_with`], so with the branch-free kernels enabled
-    /// every level of at least [`kernels::MERGE_PATH_MIN`] combined
-    /// items runs on the bidirectional two-chain kernel. (A fused
-    /// variant that drained the whole colliding run in one tier-3
-    /// loser-tree pass was benched and lost: its per-call tree setup
-    /// and per-item replay cost more than the level-by-level rewrites
-    /// it saved — see the EXPERIMENTS.md kernel ablation.)
+    /// [`Block::merge_into`], so every level of at least
+    /// [`kernels::MERGE_PATH_MIN`] combined items runs on the
+    /// bidirectional two-chain kernel. (A fused variant that drained
+    /// the whole colliding run in one loser-tree pass was benched and
+    /// lost: its per-call tree setup and per-item replay cost more than
+    /// the level-by-level rewrites it saved — see the EXPERIMENTS.md
+    /// kernel ablation.)
     fn restore_distinct_capacities(&mut self) {
         let n = self.blocks.len();
         if n < 2 || self.blocks[n - 1].capacity() < self.blocks[n - 2].capacity() {
@@ -405,19 +285,18 @@ impl Lsm {
         // Carry the merged block in a local across cascade levels
         // instead of round-tripping it through the deques at each one.
         let mut carried = self.blocks.pop_back().expect("len >= 2");
-        let mut carried_head = self.heads_pop().expect("mirrors blocks");
+        let mut carried_head = self.heads.pop().expect("mirrors blocks");
         while let Some(prev) = self.blocks.back() {
             if prev.capacity() > carried.capacity() {
                 break;
             }
             let prev = self.blocks.pop_back().expect("checked non-empty");
-            let prev_head = self.heads_pop().expect("mirrors blocks");
+            let prev_head = self.heads.pop().expect("mirrors blocks");
             carried_head = carried_head.min(prev_head);
-            carried =
-                Block::merge_with(prev, carried, &mut self.pool, self.branch_free, self.tier);
+            carried = Block::merge_into(prev, carried, &mut self.pool);
         }
         self.blocks.push_back(carried);
-        self.heads_push(carried_head);
+        self.heads.push(carried_head);
         debug_assert!(self.check_invariants());
     }
 
@@ -434,49 +313,12 @@ impl Lsm {
             && self.blocks[idx + 1].capacity() >= self.blocks[idx].capacity()
         {
             let right = self.blocks.remove(idx + 1).expect("index in range");
-            self.heads_remove(idx + 1);
+            self.heads.remove(idx + 1);
             let left = std::mem::replace(&mut self.blocks[idx], Block::placeholder());
-            self.blocks[idx] =
-                Block::merge_with(left, right, &mut self.pool, self.branch_free, self.tier);
-            let head = self.blocks[idx].head();
-            self.heads_set(idx, head);
+            self.blocks[idx] = Block::merge_into(left, right, &mut self.pool);
+            self.heads[idx] = self.blocks[idx].head();
         }
         debug_assert!(self.check_invariants());
-    }
-
-    /// Append a head to both mirrors.
-    #[inline]
-    fn heads_push(&mut self, item: Item) {
-        self.heads.push(item);
-        self.head_keys.push(item.key);
-    }
-
-    /// Pop the tail head from both mirrors.
-    #[inline]
-    fn heads_pop(&mut self) -> Option<Item> {
-        self.head_keys.pop();
-        self.heads.pop()
-    }
-
-    /// Remove `heads[idx]` from both mirrors.
-    #[inline]
-    fn heads_remove(&mut self, idx: usize) {
-        self.heads.remove(idx);
-        self.head_keys.remove(idx);
-    }
-
-    /// Overwrite `heads[idx]` in both mirrors.
-    #[inline]
-    fn heads_set(&mut self, idx: usize, item: Item) {
-        self.heads[idx] = item;
-        self.head_keys[idx] = item.key;
-    }
-
-    /// Clear both mirrors.
-    #[inline]
-    fn heads_clear(&mut self) {
-        self.heads.clear();
-        self.head_keys.clear();
     }
 
     /// Verify the paper's structural invariants (tests only):
@@ -500,15 +342,8 @@ impl Lsm {
                 .heads
                 .iter()
                 .zip(self.blocks.iter())
-                .all(|(&h, b)| b.peek() == Some(h))
-            && self.head_keys.len() == self.heads.len()
-            && self
-                .head_keys
-                .iter()
-                .zip(self.heads.iter())
-                .all(|(&k, h)| k == h.key);
-        let staged_ok = self.staged.is_none() || self.branch_free;
-        caps_decreasing && fill_ok && len_ok && heads_ok && staged_ok
+                .all(|(&h, b)| b.peek() == Some(h));
+        caps_decreasing && fill_ok && len_ok && heads_ok
     }
 }
 
@@ -516,45 +351,21 @@ impl SequentialPq for Lsm {
     fn insert(&mut self, key: Key, value: Value) {
         let item = Item::new(key, value);
         self.len += 1;
-        // Branch-free arm: defer the singleton. Every other insert is a
-        // single field store; the next one merges the staged pair —
-        // one compare, two stores — directly into a capacity-2 block
-        // and lets the cascade continue from there.
-        if self.branch_free {
-            match self.staged.take() {
-                None => self.staged = Some(item),
-                Some(prev) => {
-                    let (lo, hi) = if item <= prev { (item, prev) } else { (prev, item) };
-                    let mut buf = self.pool.acquire(2);
-                    buf.push(lo);
-                    buf.push(hi);
-                    self.blocks.push_back(Block::from_sorted(buf));
-                    self.heads_push(lo);
-                    self.restore_distinct_capacities();
-                }
+        // Defer the singleton. Every other insert is a single field
+        // store; the next one merges the staged pair — one compare, two
+        // stores — directly into a capacity-2 block and lets the
+        // cascade continue from there.
+        match self.staged.take() {
+            None => self.staged = Some(item),
+            Some(prev) => {
+                let (lo, hi) = if item <= prev { (item, prev) } else { (prev, item) };
+                let mut buf = self.pool.acquire(2);
+                buf.push(lo);
+                buf.push(hi);
+                self.blocks.push_back(Block::from_sorted(buf));
+                self.heads.push(lo);
+                self.restore_distinct_capacities();
             }
-            return;
-        }
-        // Kernels-off arm (frozen PR 4 baseline): half of all inserts
-        // land next to a capacity-1 tail block and immediately merge
-        // with it inline, skipping the singleton materialization for
-        // the hottest cascade level.
-        if self.blocks.back().is_some_and(|b| b.capacity() == 1) {
-            let old = self.blocks.pop_back().expect("checked non-empty");
-            self.heads_pop();
-            let prev = old.head();
-            let (lo, hi) = if item <= prev { (item, prev) } else { (prev, item) };
-            let mut buf = self.pool.acquire(2);
-            buf.push(lo);
-            buf.push(hi);
-            self.pool.release(old.into_buffer());
-            self.blocks.push_back(Block::from_sorted(buf));
-            self.heads_push(lo);
-            self.restore_distinct_capacities();
-        } else {
-            let singleton = Block::singleton_from(&mut self.pool, item);
-            self.blocks.push_back(singleton);
-            self.heads_push(item);
         }
     }
 
@@ -570,19 +381,7 @@ impl SequentialPq for Lsm {
             }
             return None;
         }
-        let idx = if self.branch_free {
-            simd::argmin(self.tier, &self.head_keys, &self.heads)
-        } else {
-            let mut best = self.heads[0];
-            let mut idx = 0;
-            for (i, &h) in self.heads.iter().enumerate().skip(1) {
-                if h < best {
-                    best = h;
-                    idx = i;
-                }
-            }
-            idx
-        };
+        let idx = kernels::argmin(&self.heads);
         let best = self.heads[idx];
         if let Some(s) = self.staged {
             // A staged tie is served first: equal items are
@@ -599,14 +398,14 @@ impl SequentialPq for Lsm {
         self.len -= 1;
         if block.is_empty() {
             let empty = self.blocks.remove(idx).expect("index in range");
-            self.heads_remove(idx);
+            self.heads.remove(idx);
             self.pool.release(empty.into_buffer());
         } else {
             // The winner's next head sits adjacent to the popped item —
             // almost always the same cache line.
             let head = block.head();
             let needs_shrink = 2 * block.len() <= block.capacity();
-            self.heads_set(idx, head);
+            self.heads[idx] = head;
             if needs_shrink {
                 self.shrink_at(idx);
             }
@@ -630,7 +429,7 @@ impl SequentialPq for Lsm {
         while let Some(block) = self.blocks.pop_back() {
             self.pool.release(block.into_buffer());
         }
-        self.heads_clear();
+        self.heads.clear();
         self.staged = None;
         self.len = 0;
     }
@@ -763,17 +562,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_disabled_still_correct() {
-        let mut l = Lsm::with_pool_disabled();
-        for k in (0..200u64).rev() {
-            l.insert(k, k);
-        }
-        let out: Vec<Key> = std::iter::from_fn(|| l.delete_min()).map(|i| i.key).collect();
-        assert_eq!(out, (0..200).collect::<Vec<_>>());
-        assert_eq!(l.pool_stats().hits, 0);
-    }
-
-    #[test]
     fn rebuild_keeps_pool_and_contents() {
         let mut l = Lsm::new();
         for k in 0..64u64 {
@@ -830,10 +618,9 @@ mod tests {
         assert!(Lsm::new().split_alternating().is_empty());
     }
 
-    /// Adversarial loser-tree differential: build identical multi-block
-    /// shapes with the branch-free and kernels-off arms and compare
-    /// `take_all_sorted` on all-equal, pre-sorted and reverse-sorted
-    /// block sets (the pairwise head scan is the reference kernel).
+    /// Adversarial loser-tree shapes: all-equal, pre-sorted and
+    /// reverse-sorted block sets, each with interior deletions, drained
+    /// by `take_all_sorted` and compared against the sorted-`Vec` model.
     #[test]
     fn take_all_sorted_matches_pairwise_reference() {
         type KeyFn = Box<dyn Fn(u64) -> u64>;
@@ -843,30 +630,21 @@ mod tests {
             ("reverse-sorted", Box::new(|k| 500 - k)),
         ];
         for (name, keyed) in shapes {
-            let mut fast = Lsm::new();
-            let mut reference = Lsm::with_kernels_disabled();
+            let mut l = Lsm::new();
+            let mut model: Vec<Item> = Vec::new();
             for k in 0..500u64 {
-                fast.insert(keyed(k), k);
-                reference.insert(keyed(k), k);
+                l.insert(keyed(k), k);
+                model.push(Item::new(keyed(k), k));
             }
+            model.sort();
             // Interior deletions give some blocks dead prefixes.
-            for _ in 0..77 {
-                assert_eq!(fast.delete_min(), reference.delete_min(), "{name}");
+            for expect in model.drain(..77) {
+                assert_eq!(l.delete_min(), Some(expect), "{name}");
             }
-            assert!(fast.block_count() > 1, "{name}: want a k-way merge");
-            assert_eq!(fast.take_all_sorted(), reference.take_all_sorted(), "{name}");
-            assert!(fast.is_empty() && reference.is_empty());
+            assert!(l.block_count() > 1, "{name}: want a k-way merge");
+            assert_eq!(l.take_all_sorted(), model, "{name}");
+            assert!(l.is_empty());
         }
-    }
-
-    #[test]
-    fn kernels_disabled_still_correct() {
-        let mut l = Lsm::with_kernels_disabled();
-        for k in (0..300u64).rev() {
-            l.insert(k, k);
-        }
-        let out: Vec<Key> = std::iter::from_fn(|| l.delete_min()).map(|i| i.key).collect();
-        assert_eq!(out, (0..300).collect::<Vec<_>>());
     }
 
     #[test]
@@ -945,25 +723,100 @@ mod tests {
         assert_eq!(all, vec![0, 1, 2, 3, 4]);
     }
 
+    /// Every LSM telemetry counter names a path the one production
+    /// configuration takes. Counters are process-wide and monotone, so
+    /// sibling tests can only add to the deltas asserted here.
+    #[cfg(feature = "telemetry")]
+    #[test]
+    fn lsm_counters_all_fire() {
+        use pq_traits::telemetry::{snapshot, Event};
+        let before = snapshot();
+        let mut l = Lsm::new();
+        for k in 0..512u64 {
+            l.insert(k, 0);
+        }
+        for k in 0..10_000u64 {
+            l.insert(k.wrapping_mul(0x9E37_79B9) % 4096, k);
+            l.delete_min().expect("non-empty");
+        }
+        l.insert(0, 0);
+        assert!(l.block_count() > 1, "want a loser-tree drain");
+        assert_eq!(l.take_all_sorted().len(), 513);
+        let d = snapshot().since(&before);
+        for ev in [
+            Event::LsmKernelBidiHit,
+            Event::LsmKernelLoserTreePass,
+            Event::LsmPoolHit,
+            Event::LsmPoolRecycledBytes,
+        ] {
+            assert!(d.get(ev) > 0, "{} never fired", ev.name());
+        }
+    }
+
     proptest::proptest! {
+        /// Every public mutation against a sorted-`Vec` model, which
+        /// shares no code with the LSM: exact `delete_min` order, exact
+        /// drain and split output, conservation through bulk installs
+        /// and block eviction, invariants after every step.
         #[test]
         fn prop_matches_model(
-            ops in proptest::collection::vec((proptest::bool::ANY, 0u64..1000), 0..400)
+            ops in proptest::collection::vec((0u8..10, 0u64..1000), 0..400)
         ) {
             let mut l = Lsm::new();
             let mut model: Vec<Item> = Vec::new();
-            for (i, &(is_insert, k)) in ops.iter().enumerate() {
-                if is_insert {
-                    l.insert(k, i as u64);
-                    model.push(Item::new(k, i as u64));
-                } else {
-                    model.sort();
-                    let expect = if model.is_empty() { None } else { Some(model.remove(0)) };
-                    proptest::prop_assert_eq!(l.delete_min(), expect);
+            for (i, &(op, k)) in ops.iter().enumerate() {
+                let i = i as u64;
+                model.sort();
+                match op {
+                    0..=3 => {
+                        l.insert(k, i);
+                        model.push(Item::new(k, i));
+                    }
+                    4 | 5 => {
+                        let expect = if model.is_empty() { None } else { Some(model.remove(0)) };
+                        proptest::prop_assert_eq!(l.delete_min(), expect);
+                    }
+                    6 => proptest::prop_assert_eq!(l.take_all_sorted(), std::mem::take(&mut model)),
+                    7 => {
+                        // A sorted batch of `k % 40` items around `k`.
+                        let batch: Vec<Item> =
+                            (0..k % 40).map(|j| Item::new(k / 2 + j / 3, i * 64 + j)).collect();
+                        model.extend_from_slice(&batch);
+                        l.merge_in_sorted(batch);
+                    }
+                    8 => {
+                        // Odd positions are stolen; a lone item goes too.
+                        let (keep, steal): (Vec<Item>, Vec<Item>) = if model.len() == 1 {
+                            (Vec::new(), model.clone())
+                        } else {
+                            (
+                                model.iter().copied().step_by(2).collect(),
+                                model.iter().copied().skip(1).step_by(2).collect(),
+                            )
+                        };
+                        proptest::prop_assert_eq!(l.split_alternating(), steal);
+                        model = keep;
+                    }
+                    _ => {
+                        // Which items sit in the largest block is the
+                        // LSM's business; the model checks that they are
+                        // that block's, sorted, and leave both sides.
+                        let front = l.block_shapes().next().map(|(_, live)| live);
+                        let bulk = l.pop_largest_block();
+                        proptest::prop_assert_eq!(bulk.as_ref().map(Vec::len), front);
+                        for it in bulk.iter().flatten() {
+                            let pos = model.binary_search(it);
+                            proptest::prop_assert!(pos.is_ok(), "evicted unknown {:?}", it);
+                            model.remove(pos.expect("checked"));
+                        }
+                        proptest::prop_assert!(bulk.iter().all(|b| b.windows(2).all(|w| w[0] <= w[1])));
+                    }
                 }
                 proptest::prop_assert!(l.check_invariants());
                 proptest::prop_assert_eq!(l.len(), model.len());
             }
+            model.sort();
+            proptest::prop_assert_eq!(l.take_all_sorted(), model);
         }
 
         #[test]
@@ -974,50 +827,6 @@ mod tests {
             }
             let bound = (usize::BITS - n.leading_zeros()) as usize + 1;
             proptest::prop_assert!(l.block_count() <= bound);
-        }
-
-        /// The branch-free tiers are a drop-in replacement: any op
-        /// sequence yields the same observable behaviour as the
-        /// kernels-off (PR 4 scalar) arm, including mid-sequence drains.
-        #[test]
-        fn prop_matches_kernels_off(
-            ops in proptest::collection::vec((0u8..4, 0u64..500), 0..300)
-        ) {
-            let mut fast = Lsm::new();
-            let mut reference = Lsm::with_kernels_disabled();
-            for (i, &(op, k)) in ops.iter().enumerate() {
-                match op {
-                    0 | 1 => {
-                        fast.insert(k, i as u64);
-                        reference.insert(k, i as u64);
-                    }
-                    2 => proptest::prop_assert_eq!(fast.delete_min(), reference.delete_min()),
-                    _ => proptest::prop_assert_eq!(
-                        fast.take_all_sorted(),
-                        reference.take_all_sorted()
-                    ),
-                }
-                proptest::prop_assert_eq!(fast.len(), reference.len());
-                proptest::prop_assert!(fast.check_invariants());
-            }
-        }
-
-        #[test]
-        fn prop_matches_legacy_kernels(
-            ops in proptest::collection::vec((proptest::bool::ANY, 0u64..500), 0..300)
-        ) {
-            let mut new = Lsm::new();
-            let mut old = legacy::LegacyLsm::new();
-            for (i, &(is_insert, k)) in ops.iter().enumerate() {
-                if is_insert {
-                    new.insert(k, i as u64);
-                    old.insert(k, i as u64);
-                } else {
-                    proptest::prop_assert_eq!(new.delete_min(), old.delete_min());
-                }
-                proptest::prop_assert_eq!(new.len(), old.len());
-                proptest::prop_assert!(new.check_invariants());
-            }
         }
     }
 }

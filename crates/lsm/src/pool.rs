@@ -58,9 +58,6 @@ pub struct BlockPool {
     /// `classes[c]` holds empty buffers with capacity ≥ `1 << c`.
     classes: Vec<Vec<Vec<Item>>>,
     stats: PoolStats,
-    /// When set, `acquire` always allocates and `release` always drops —
-    /// the A/B "pool off" arm of the allocation ablation.
-    disabled: bool,
 }
 
 /// Pools are intentionally not cloned with their owner: a cloned LSM
@@ -68,32 +65,14 @@ pub struct BlockPool {
 /// the cloned blocks are cloned by `Block` itself).
 impl Clone for BlockPool {
     fn clone(&self) -> Self {
-        Self {
-            classes: Vec::new(),
-            stats: PoolStats::default(),
-            disabled: self.disabled,
-        }
+        Self::default()
     }
 }
 
 impl BlockPool {
-    /// An empty, enabled pool.
+    /// An empty pool.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A pool that never recycles: every `acquire` allocates, every
-    /// `release` drops. Used by the ablation benchmarks.
-    pub fn disabled() -> Self {
-        Self {
-            disabled: true,
-            ..Self::default()
-        }
-    }
-
-    /// `true` if this pool recycles buffers.
-    pub fn is_enabled(&self) -> bool {
-        !self.disabled
     }
 
     /// Counters since construction.
@@ -135,7 +114,7 @@ impl BlockPool {
     /// smaller than its class promises). Full lists drop the buffer.
     #[inline]
     pub fn release(&mut self, mut buf: Vec<Item>) {
-        if self.disabled || buf.capacity() == 0 {
+        if buf.capacity() == 0 {
             return;
         }
         buf.clear();
@@ -200,17 +179,6 @@ mod tests {
         }
         assert_eq!(p.free_buffers(), MAX_FREE_PER_CLASS);
         assert_eq!(p.stats().dropped, 2);
-    }
-
-    #[test]
-    fn disabled_pool_never_recycles() {
-        let mut p = BlockPool::disabled();
-        p.release(Vec::with_capacity(16));
-        assert_eq!(p.free_buffers(), 0);
-        let _ = p.acquire(16);
-        assert_eq!(p.stats().hits, 0);
-        assert_eq!(p.stats().misses, 1);
-        assert!(!p.is_enabled());
     }
 
     #[test]

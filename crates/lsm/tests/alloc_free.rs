@@ -16,7 +16,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use lsm::{KernelTier, Lsm};
+use lsm::Lsm;
 use pq_traits::SequentialPq;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -57,10 +57,9 @@ fn next_key(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Run warmup + measured phase for one queue; asserts the measured
-/// phase allocates nothing. `label` names the kernel tier under test
-/// in failure messages.
-fn assert_steady_state_alloc_free(mut l: Lsm, label: &str) {
+#[test]
+fn steady_state_insert_delete_allocates_nothing() {
+    let mut l = Lsm::new();
     const SIZE: usize = 1024;
     const OPS: usize = 50_000;
     let mut rng = 0x5EEDu64;
@@ -68,9 +67,9 @@ fn assert_steady_state_alloc_free(mut l: Lsm, label: &str) {
     // Warmup, phase 1: grow well past the steady-state size and drain
     // back down. This forces merges up to a capacity class strictly
     // larger than any the measured phase can request, parking a buffer
-    // of every class in the pool (and sizing the dense `heads` /
-    // `head_keys` mirrors past any length the measured phase reaches),
-    // and exercises the shrink/compact path.
+    // of every class in the pool (and sizing the dense `heads` mirror
+    // past any length the measured phase reaches), and exercises the
+    // shrink/compact path.
     for _ in 0..4 * SIZE {
         l.insert(next_key(&mut rng), 0);
     }
@@ -96,7 +95,7 @@ fn assert_steady_state_alloc_free(mut l: Lsm, label: &str) {
     assert_eq!(
         after - before,
         0,
-        "[{label}] steady-state insert/delete-min allocated {} time(s) over {OPS} op pairs \
+        "steady-state insert/delete-min allocated {} time(s) over {OPS} op pairs \
          (pool stats: {:?})",
         after - before,
         l.pool_stats()
@@ -106,19 +105,7 @@ fn assert_steady_state_alloc_free(mut l: Lsm, label: &str) {
     let stats = l.pool_stats();
     assert!(
         stats.hit_rate() > 0.9,
-        "[{label}] expected a >90% pool hit rate in steady state, got {stats:?}"
+        "expected a >90% pool hit rate in steady state, got {stats:?}"
     );
     assert_eq!(l.len(), SIZE);
-}
-
-#[test]
-fn steady_state_insert_delete_allocates_nothing() {
-    // Production dispatch first (whatever tier the host detects), then
-    // every tier the host can force — the SIMD kernels must be exactly
-    // as allocation-free as the scalar ones (the telemetry hit
-    // counters are atomics, not heap traffic).
-    assert_steady_state_alloc_free(Lsm::new(), "dispatch");
-    for tier in KernelTier::available_tiers() {
-        assert_steady_state_alloc_free(Lsm::with_tier(tier), tier.name());
-    }
 }

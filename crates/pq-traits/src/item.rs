@@ -13,14 +13,7 @@ pub type Value = u64;
 /// A key-value pair. Ordered by key, then value, so that items with equal
 /// keys still have a deterministic total order (required by the
 /// order-statistic replay structure).
-///
-/// `repr(C)` pins the field order (`key` at offset 0, `value` at offset
-/// 8): the LSM SIMD kernels load `Item` arrays directly into vector
-/// registers and compare the two `u64` fields positionally, so the
-/// layout is part of the contract (asserted at compile time in
-/// `lsm::simd`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[repr(C)]
 pub struct Item {
     /// Priority key (smaller = higher priority).
     pub key: Key,

@@ -81,28 +81,12 @@ pub enum Event {
     /// LSM block pool: bytes of buffer capacity returned to a free list
     /// for reuse (recorded with [`record_n`]).
     LsmPoolRecycledBytes,
-    /// LSM kernels: a sort or merge ran through a tier-1 sorting/merge
-    /// network (combined size ≤ `NETWORK_MAX_CAP`).
-    LsmKernelNetworkHit,
-    /// LSM kernels: a merge ran through the tier-2 chunked bitonic
-    /// kernel (both inputs at least one `BITONIC_CHUNK` long).
-    LsmKernelBitonicHit,
-    /// LSM kernels: a merge ran through the tier-2b bidirectional
-    /// two-chain kernel (combined size ≥ `MERGE_PATH_MIN`).
+    /// LSM kernels: a merge ran through the bidirectional two-chain
+    /// kernel (combined size ≥ `MERGE_PATH_MIN`).
     LsmKernelBidiHit,
-    /// LSM kernels: a drain ran through the tier-3 k-way loser tree
-    /// (one `take_all_sorted` pass over ≥ 2 blocks).
+    /// LSM kernels: a drain ran through the k-way loser tree (one
+    /// `take_all_sorted` pass over ≥ 2 blocks).
     LsmKernelLoserTreePass,
-    /// LSM SIMD kernels: a block merge ran through the vector chunked
-    /// merge (`lsm::simd::merge_simd_append`, AVX2 or AVX-512 tier).
-    LsmKernelSimdMergeHit,
-    /// LSM SIMD kernels: a `delete_min` head scan ran through the wide
-    /// vector argmin instead of the scalar conditional-move scan.
-    LsmKernelSimdArgminHit,
-    /// LSM SIMD kernels: a sorting/merge network ran its
-    /// compare-exchange schedule through vector spans (one count per
-    /// network invocation at a SIMD tier, not per span).
-    LsmKernelSimdCexHit,
     /// Flat combining: a thread won the combiner lock (`try_lock`
     /// succeeded) and entered a combining critical section.
     FcLockAcquire,
@@ -116,7 +100,7 @@ pub enum Event {
 
 impl Event {
     /// Every event, in stable export order.
-    pub const ALL: [Event; 23] = [
+    pub const ALL: [Event; 18] = [
         Event::SkiplistFindRestart,
         Event::SkiplistCasRetry,
         Event::DlsmSpyAttempt,
@@ -130,13 +114,8 @@ impl Event {
         Event::LsmPoolHit,
         Event::LsmPoolMiss,
         Event::LsmPoolRecycledBytes,
-        Event::LsmKernelNetworkHit,
-        Event::LsmKernelBitonicHit,
         Event::LsmKernelBidiHit,
         Event::LsmKernelLoserTreePass,
-        Event::LsmKernelSimdMergeHit,
-        Event::LsmKernelSimdArgminHit,
-        Event::LsmKernelSimdCexHit,
         Event::FcLockAcquire,
         Event::FcCombineRound,
         Event::FcOpsCombined,
@@ -161,13 +140,8 @@ impl Event {
             Event::LsmPoolHit => "lsm_pool_hit",
             Event::LsmPoolMiss => "lsm_pool_miss",
             Event::LsmPoolRecycledBytes => "lsm_pool_recycled_bytes",
-            Event::LsmKernelNetworkHit => "lsm_kernel_network_hits",
-            Event::LsmKernelBitonicHit => "lsm_kernel_bitonic_hits",
             Event::LsmKernelBidiHit => "lsm_kernel_bidi_hits",
             Event::LsmKernelLoserTreePass => "lsm_kernel_losertree_passes",
-            Event::LsmKernelSimdMergeHit => "lsm_kernel_simd_merge_hits",
-            Event::LsmKernelSimdArgminHit => "lsm_kernel_simd_argmin_hits",
-            Event::LsmKernelSimdCexHit => "lsm_kernel_simd_cex_hits",
             Event::FcLockAcquire => "fc_lock_acquires",
             Event::FcCombineRound => "fc_combine_rounds",
             Event::FcOpsCombined => "fc_ops_combined",
@@ -259,8 +233,8 @@ pub fn record_quiet(event: Event) {
 
 /// As [`record_quiet`], recording `n` occurrences. Quiet only with
 /// respect to chaos: the flight recorder still sees the event, since a
-/// timeline without the sequential-path events (pool hits, kernel tier
-/// selections) would misattribute their cost to neighboring spans.
+/// timeline without the sequential-path events (pool hits, kernel
+/// invocations) would misattribute their cost to neighboring spans.
 #[inline]
 pub fn record_n_quiet(event: Event, n: u64) {
     crate::trace::on_event(event, n);

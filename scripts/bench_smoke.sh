@@ -19,36 +19,23 @@
 #     loadable in Perfetto) that CI also uploads as an artifact.
 #
 # Usage: scripts/bench_smoke.sh [THREADS] [DURATION_MS]
+# THREADS defaults to the host's hardware thread count; more than that
+# is time-slicing, not scaling, and every JSON export flags it
+# ("oversubscribed" in the meta block).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 # Scratch outputs (smoke exports that are not recorded baselines) land
 # under the gitignored artifacts/ directory.
 mkdir -p artifacts
 
-THREADS="${1:-4}"
+NPROC="$(nproc)"
+THREADS="${1:-$NPROC}"
+if (( THREADS > NPROC )); then
+    echo "warning: THREADS=$THREADS exceeds nproc=$NPROC; results are oversubscribed (time-sliced), not scaling" >&2
+fi
 DURATION_MS="${2:-1000}"
 INSTR_MAX_OVERHEAD_PCT="${INSTR_MAX_OVERHEAD_PCT:-5}"
 TRACE_MAX_OVERHEAD_PCT="${TRACE_MAX_OVERHEAD_PCT:-5}"
-# Floor for the pooled-LSM kernel speedup gate (geomean of the steady
-# and sawtooth regimes vs. the frozen legacy kernels). The acceptance
-# target on quiet hardware is 1.3; default 1.0 so noisy shared runners
-# only fail on a real regression.
-LSM_KERNEL_MIN_SPEEDUP="${LSM_KERNEL_MIN_SPEEDUP:-1.0}"
-# Floor for the branch-free kernel tier gate: geomean (steady ×
-# sawtooth) of the kernels-on arm over the kernels-off arm (the frozen
-# PR 4 pooled baseline). Acceptance target on quiet hardware is 1.15;
-# default 1.0 so noisy shared runners only fail on a real regression.
-KERNEL_TIER_MIN_SPEEDUP="${KERNEL_TIER_MIN_SPEEDUP:-1.0}"
-# Floor for the SIMD dispatch gate: geomean (steady × sawtooth) of the
-# pool-on arm (detected kernel tier) over the simd-off arm (scalar tier
-# pinned, the frozen PR 5 dispatch). On the measured host the
-# whole-queue A/B kept every production path scalar — merges are
-# port-5-bound and the wide argmin loses on delete_min's serial
-# critical path (EXPERIMENTS.md "SIMD kernel ablation") — so this is a
-# *parity* gate, not a win gate: it catches a tier whose dispatch
-# regresses the queue, while the SIMD kernels themselves stay as
-# forced-tier ablation arms. Default 0.90 absorbs shared-runner noise.
-SIMD_TIER_MIN_SPEEDUP="${SIMD_TIER_MIN_SPEEDUP:-0.90}"
 # Floor for the flat-combining A/B gate: geomean of the per-round
 # fc-vs-plain throughput ratios across both pairs (fc-globallock vs
 # globallock, fc-mound vs mound). The fc-mound pair carries the win —
@@ -63,24 +50,6 @@ cargo run -p pq-bench --release --offline --bin mq_smoke -- \
     --threads "$THREADS" \
     --duration-ms "$DURATION_MS" \
     --out BENCH_multiqueue.json
-
-echo "== LSM kernel ablation (legacy/pool-off/kernels-off/simd-off/pool-on, gates ${LSM_KERNEL_MIN_SPEEDUP}x legacy, ${KERNEL_TIER_MIN_SPEEDUP}x kernels-off, ${SIMD_TIER_MIN_SPEEDUP}x simd-off) =="
-# Sequential 5-arm A/B of the allocation-free merge kernels, the
-# branch-free kernel tiers, and the SIMD dispatch, plus a concurrent
-# dlsm/klsm sanity sweep; writes BENCH_simd_kernels.json (see
-# crates/bench/src/bin/lsm_kernels.rs and EXPERIMENTS.md "SIMD kernel
-# ablation"). Exits non-zero if the pool-on geomean speedup over the
-# legacy kernels falls below LSM_KERNEL_MIN_SPEEDUP, its speedup over
-# the kernels-off arm (the frozen PR 4 pooled baseline) falls below
-# KERNEL_TIER_MIN_SPEEDUP, or its speedup over the simd-off arm (the
-# scalar-tier PR 5 dispatch) falls below SIMD_TIER_MIN_SPEEDUP.
-cargo run -p pq-bench --release --offline --bin lsm_kernels -- \
-    --threads "$THREADS" \
-    --duration-ms "$DURATION_MS" \
-    --min-speedup "$LSM_KERNEL_MIN_SPEEDUP" \
-    --min-kernel-speedup "$KERNEL_TIER_MIN_SPEEDUP" \
-    --min-simd-speedup "$SIMD_TIER_MIN_SPEEDUP" \
-    --out BENCH_simd_kernels.json
 
 echo "== flat-combining A/B + batch ablation (gates ${FC_MIN_SPEEDUP}x plain locked) =="
 # Interleaved A/B of each flat-combining queue against its plain locked
