@@ -7,14 +7,17 @@
 //! `--min-speedup` turns that into an exit gate for CI.
 //!
 //! Part two sweeps the insert-batch size m ∈ {1, 4, 16, 64} across the
-//! batching families (`mq-sticky`, `klsm128`, `klsm4096`, `spray`,
-//! `fc-globallock`, `fc-mound`), measuring throughput *and* rank error
-//! for every cell — the throughput/quality frontier that shows what a
-//! larger batch buys and what it costs.
+//! batching families (`mq-sticky`, `klsm128`, `klsm4096`, `dlsm`,
+//! `spray`, `fc-globallock`, `fc-mound`), measuring throughput *and*
+//! rank error for every cell — the throughput/quality frontier that
+//! shows what a larger batch buys and what it costs. Every family but
+//! `mq-sticky` buffers through `pq_traits::Buffered` from m = 2.
+//!
+//! `--threads` defaults to the host's hardware thread count.
 //!
 //! ```text
 //! cargo run -p pq-bench --release --bin batch_ablation -- \
-//!     --threads 4 --duration-ms 500 --min-speedup 1.1 \
+//!     --duration-ms 500 --min-speedup 1.1 \
 //!     --out BENCH_flat_combining.json
 //! ```
 
@@ -38,7 +41,7 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        threads: 4,
+        threads: std::thread::available_parallelism().map_or(1, usize::from),
         prefill: 50_000,
         duration_ms: 400,
         ab_rounds: 3,
@@ -135,6 +138,10 @@ fn geomean(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
+/// Throughput repetitions per frontier cell: the fewest that give
+/// `ops_per_sec_ci95` a spread to report.
+const FRONTIER_REPS: usize = 3;
+
 /// A frontier row: family label plus the batch-parameterized spec.
 type Family = (&'static str, fn(usize) -> QueueSpec);
 
@@ -188,10 +195,11 @@ fn main() {
 
     // --- Part two: batch-size ablation frontier ---
     let batches = [1usize, 4, 16, 64];
-    let families: [Family; 6] = [
+    let families: [Family; 7] = [
         ("mq-sticky", |m| QueueSpec::MqSticky(4, 8, m)),
         ("klsm128", |m| QueueSpec::KlsmBatch(128, m)),
         ("klsm4096", |m| QueueSpec::KlsmBatch(4096, m)),
+        ("dlsm", |m| QueueSpec::DlsmBatch(m)),
         ("spray", |m| QueueSpec::SprayBatch(m)),
         ("fc-globallock", |m| QueueSpec::FcGlobalLock(m)),
         ("fc-mound", |m| QueueSpec::FcMound(m)),
@@ -201,7 +209,9 @@ fn main() {
         for m in batches {
             let spec = mk(m);
             eprintln!("cell {} m={m} ({})...", family, spec.name());
-            let tput = run_throughput(spec, &base_cfg(&args));
+            let mut tcfg = base_cfg(&args);
+            tcfg.reps = FRONTIER_REPS;
+            let tput = run_throughput(spec, &tcfg);
             let mut qcfg = base_cfg(&args);
             qcfg.stop = StopCondition::OpsPerThread(args.quality_ops);
             let quality = run_quality(spec, &qcfg);

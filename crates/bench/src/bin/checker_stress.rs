@@ -87,32 +87,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Every registry variant (one representative parameterization each).
-fn full_registry() -> Vec<QueueSpec> {
-    vec![
-        QueueSpec::Klsm(16),
-        QueueSpec::Klsm(128),
-        QueueSpec::Klsm(4096),
-        QueueSpec::Dlsm,
-        QueueSpec::Slsm(32),
-        QueueSpec::Linden,
-        QueueSpec::Spray,
-        QueueSpec::MultiQueue(4),
-        QueueSpec::MqSticky(4, 8, 8),
-        QueueSpec::GlobalLock,
-        QueueSpec::GlobalLockPairing,
-        QueueSpec::MultiQueuePairing(4),
-        QueueSpec::Hunt,
-        QueueSpec::Mound,
-        QueueSpec::Cbpq,
-        QueueSpec::SprayBatch(16),
-        QueueSpec::FcGlobalLock(1),
-        QueueSpec::FcGlobalLock(16),
-        QueueSpec::FcMound(1),
-        QueueSpec::FcMound(16),
-    ]
-}
-
 /// Fully linearizable strict queues: the only ones for which per-thread
 /// monotonicity may be asserted during the *concurrent* drain. Hunt,
 /// mound and cbpq are strict only up to in-flight operations.
@@ -275,7 +249,7 @@ fn main() {
         }
     };
     let specs = if args.queues.is_empty() {
-        full_registry()
+        QueueSpec::registry()
     } else {
         args.queues.clone()
     };

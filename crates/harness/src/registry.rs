@@ -9,14 +9,13 @@
 pub enum QueueSpec {
     /// k-LSM with the given relaxation parameter.
     Klsm(usize),
-    /// k-LSM with the given relaxation parameter and per-handle insert
-    /// buffers of the given size, committed as one pre-sorted block
-    /// through the LSM kernels (widens the rank bound by `batch − 1`
-    /// per thread).
+    /// k-LSM with the given relaxation parameter behind
+    /// [`pq_traits::Buffered`] insert buffers of the given size (`<= 1`
+    /// = the bare queue, as for every `*Batch`/`Fc*` variant below).
     KlsmBatch(usize, usize),
     /// Standalone distributed (thread-local) LSM.
     Dlsm,
-    /// Standalone DLSM with per-handle insert buffers of the given size.
+    /// Standalone DLSM with insert buffers of the given size.
     DlsmBatch(usize),
     /// Standalone shared LSM with the given relaxation parameter.
     Slsm(usize),
@@ -24,9 +23,7 @@ pub enum QueueSpec {
     Linden,
     /// SprayList.
     Spray,
-    /// SprayList with per-handle insert buffers of the given size,
-    /// committed as one sorted run through the skiplist's finger-descent
-    /// batch insert.
+    /// SprayList with insert buffers of the given size.
     SprayBatch(usize),
     /// MultiQueue with the given `c` (sub-queues = c·P).
     MultiQueue(usize),
@@ -48,11 +45,11 @@ pub enum QueueSpec {
     /// MultiQueue over pairing-heap sub-queues (substrate ablation).
     MultiQueuePairing(usize),
     /// Flat-combining wrapper over the sequential binary heap (the
-    /// `globallock` substrate) with per-handle insert buffers of the
-    /// given size (1 = unbuffered, strict).
+    /// `globallock` substrate) with insert buffers of the given size
+    /// (1 = unbuffered, strict).
     FcGlobalLock(usize),
-    /// Flat-combining wrapper over the mound with per-handle insert
-    /// buffers of the given size (1 = unbuffered, strict).
+    /// Flat-combining wrapper over the mound with insert buffers of the
+    /// given size (1 = unbuffered, strict).
     FcMound(usize),
 }
 
@@ -139,17 +136,17 @@ impl QueueSpec {
                     }
                     Some(QueueSpec::MqSticky(c, sv, mv))
                 } else if let Some(m) = s.strip_prefix("dlsm-b") {
-                    m.parse().ok().map(QueueSpec::DlsmBatch)
+                    parse_batch(m).map(QueueSpec::DlsmBatch)
                 } else if let Some(m) = s.strip_prefix("spray-b") {
-                    m.parse().ok().map(QueueSpec::SprayBatch)
+                    parse_batch(m).map(QueueSpec::SprayBatch)
                 } else if let Some(m) = s.strip_prefix("fc-globallock-b") {
-                    m.parse().ok().map(QueueSpec::FcGlobalLock)
+                    parse_batch(m).map(QueueSpec::FcGlobalLock)
                 } else if let Some(m) = s.strip_prefix("fc-mound-b") {
-                    m.parse().ok().map(QueueSpec::FcMound)
+                    parse_batch(m).map(QueueSpec::FcMound)
                 } else if let Some(rest) = s.strip_prefix("klsm") {
                     // "klsm{k}" or "klsm{k}-b{m}".
                     if let Some((k, m)) = rest.split_once("-b") {
-                        match (k.parse().ok(), m.parse().ok()) {
+                        match (k.parse().ok(), parse_batch(m)) {
                             (Some(k), Some(m)) => Some(QueueSpec::KlsmBatch(k, m)),
                             _ => None,
                         }
@@ -167,6 +164,40 @@ impl QueueSpec {
                 }
             }
         }
+    }
+
+    /// Every queue family, one representative parameterization each plus
+    /// the buffered and sticky variants: the list the checker matrix and
+    /// the cross-queue contract tests run over. Append only —
+    /// `checker_stress` derives each cell's chaos seed from its position,
+    /// so reordering changes every later cell's schedule.
+    pub fn registry() -> Vec<QueueSpec> {
+        vec![
+            QueueSpec::Klsm(16),
+            QueueSpec::Klsm(128),
+            QueueSpec::Klsm(4096),
+            QueueSpec::Dlsm,
+            QueueSpec::Slsm(32),
+            QueueSpec::Linden,
+            QueueSpec::Spray,
+            QueueSpec::MultiQueue(4),
+            QueueSpec::MqSticky(4, 8, 8),
+            QueueSpec::GlobalLock,
+            QueueSpec::GlobalLockPairing,
+            QueueSpec::MultiQueuePairing(4),
+            QueueSpec::Hunt,
+            QueueSpec::Mound,
+            QueueSpec::Cbpq,
+            QueueSpec::SprayBatch(16),
+            QueueSpec::FcGlobalLock(1),
+            QueueSpec::FcGlobalLock(16),
+            QueueSpec::FcMound(1),
+            QueueSpec::FcMound(16),
+            QueueSpec::KlsmBatch(128, 16),
+            QueueSpec::DlsmBatch(16),
+            QueueSpec::MqSticky(4, 1, 1),
+            QueueSpec::MqSticky(2, 64, 16),
+        ]
     }
 
     /// The seven queue variants of the paper's main comparison
@@ -213,6 +244,11 @@ impl QueueSpec {
     }
 }
 
+/// The `<m>` of a `-b<m>` suffix; a buffer of zero items does not exist.
+fn parse_batch(m: &str) -> Option<usize> {
+    m.parse().ok().filter(|&m| m > 0)
+}
+
 impl std::fmt::Display for QueueSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.name())
@@ -222,35 +258,28 @@ impl std::fmt::Display for QueueSpec {
 /// Instantiate the queue described by a [`QueueSpec`] and run `$body`
 /// with `$q` bound to it. `$threads` is the number of worker threads
 /// (an extra handle slot is provisioned for prefilling where the
-/// structure caps handles).
+/// structure caps handles). The `*Batch(m)` / `Fc*(m)` specs build the
+/// bare queue type for `m <= 1` and `pq_traits::Buffered` around it
+/// from `m = 2`.
 #[macro_export]
 macro_rules! with_queue {
     ($spec:expr, $threads:expr, $q:ident => $body:expr) => {{
         let threads: usize = $threads;
         match $spec {
-            $crate::QueueSpec::Klsm(k) => {
+            $crate::QueueSpec::Klsm(k) | $crate::QueueSpec::KlsmBatch(k, 0 | 1) => {
                 let $q = ::klsm::Klsm::new(k, threads + 1);
                 $body
             }
             $crate::QueueSpec::KlsmBatch(k, m) => {
-                let $q = ::klsm::Klsm::with_batch(
-                    k,
-                    threads + 1,
-                    ::pq_traits::seed::DEFAULT_QUEUE_SEED,
-                    m,
-                );
+                let $q = ::pq_traits::Buffered::new(::klsm::Klsm::new(k, threads + 1), m);
                 $body
             }
-            $crate::QueueSpec::Dlsm => {
+            $crate::QueueSpec::Dlsm | $crate::QueueSpec::DlsmBatch(0 | 1) => {
                 let $q = ::klsm::Dlsm::new(threads + 1);
                 $body
             }
             $crate::QueueSpec::DlsmBatch(m) => {
-                let $q = ::klsm::Dlsm::with_batch(
-                    threads + 1,
-                    ::pq_traits::seed::DEFAULT_QUEUE_SEED,
-                    m,
-                );
+                let $q = ::pq_traits::Buffered::new(::klsm::Dlsm::new(threads + 1), m);
                 $body
             }
             $crate::QueueSpec::Slsm(k) => {
@@ -261,16 +290,12 @@ macro_rules! with_queue {
                 let $q = ::skiplist_pq::LindenPq::new();
                 $body
             }
-            $crate::QueueSpec::Spray => {
+            $crate::QueueSpec::Spray | $crate::QueueSpec::SprayBatch(0 | 1) => {
                 let $q = ::skiplist_pq::SprayList::new(threads);
                 $body
             }
             $crate::QueueSpec::SprayBatch(m) => {
-                let $q = ::skiplist_pq::SprayList::with_batch(
-                    threads,
-                    ::pq_traits::seed::DEFAULT_QUEUE_SEED,
-                    m,
-                );
+                let $q = ::pq_traits::Buffered::new(::skiplist_pq::SprayList::new(threads), m);
                 $body
             }
             $crate::QueueSpec::MultiQueue(c) => {
@@ -306,15 +331,22 @@ macro_rules! with_queue {
                 let $q = ::cbpq::Cbpq::new();
                 $body
             }
+            $crate::QueueSpec::FcGlobalLock(0 | 1) => {
+                let $q = ::lockedpq::fc_globallock(threads + 1);
+                $body
+            }
             $crate::QueueSpec::FcGlobalLock(m) => {
-                let $q = ::lockedpq::fc_globallock(threads + 1, m);
+                let $q = ::pq_traits::Buffered::new(::lockedpq::fc_globallock(threads + 1), m);
+                $body
+            }
+            $crate::QueueSpec::FcMound(0 | 1) => {
+                let $q = ::lockedpq::fc_mound(threads + 1, ::pq_traits::seed::DEFAULT_QUEUE_SEED);
                 $body
             }
             $crate::QueueSpec::FcMound(m) => {
-                let $q = ::lockedpq::fc_mound(
-                    threads + 1,
+                let $q = ::pq_traits::Buffered::new(
+                    ::lockedpq::fc_mound(threads + 1, ::pq_traits::seed::DEFAULT_QUEUE_SEED),
                     m,
-                    ::pq_traits::seed::DEFAULT_QUEUE_SEED,
                 );
                 $body
             }
@@ -362,6 +394,9 @@ mod tests {
         assert_eq!(QueueSpec::parse("mq-sticky-s8-m4-x1"), None);
         assert_eq!(QueueSpec::parse("klsm128-bx"), None);
         assert_eq!(QueueSpec::parse("dlsm-b"), None);
+        for family in ["klsm128", "dlsm", "spray", "fc-globallock", "fc-mound"] {
+            assert_eq!(QueueSpec::parse(&format!("{family}-b0")), None, "{family}-b0");
+        }
     }
 
     #[test]
@@ -386,28 +421,7 @@ mod tests {
     #[test]
     fn with_queue_instantiates_every_spec() {
         use pq_traits::{ConcurrentPq, PqHandle};
-        for spec in [
-            QueueSpec::Klsm(16),
-            QueueSpec::KlsmBatch(16, 8),
-            QueueSpec::Dlsm,
-            QueueSpec::DlsmBatch(8),
-            QueueSpec::Slsm(8),
-            QueueSpec::Linden,
-            QueueSpec::Spray,
-            QueueSpec::MultiQueue(2),
-            QueueSpec::MqSticky(2, 8, 4),
-            QueueSpec::GlobalLock,
-            QueueSpec::Hunt,
-            QueueSpec::Mound,
-            QueueSpec::Cbpq,
-            QueueSpec::GlobalLockPairing,
-            QueueSpec::MultiQueuePairing(2),
-            QueueSpec::SprayBatch(8),
-            QueueSpec::FcGlobalLock(1),
-            QueueSpec::FcGlobalLock(8),
-            QueueSpec::FcMound(1),
-            QueueSpec::FcMound(8),
-        ] {
+        for spec in QueueSpec::registry() {
             let drained = with_queue!(spec, 1, q => {
                 let mut h = q.handle();
                 for k in 0..50u64 {

@@ -31,9 +31,6 @@ pub struct Dlsm {
     slots: Box<[CachePadded<Mutex<Lsm>>]>,
     next_slot: AtomicUsize,
     seed: u64,
-    /// Handle insert-buffer capacity; 1 means unbuffered (every insert
-    /// goes straight to the slot, the historical behaviour).
-    batch: usize,
 }
 
 impl Dlsm {
@@ -47,25 +44,13 @@ impl Dlsm {
     /// RNGs (the slot index doubles as the handle index, so victim
     /// selection during spying replays deterministically).
     pub fn with_seed(max_threads: usize, seed: u64) -> Self {
-        Self::with_batch(max_threads, seed, 1)
-    }
-
-    /// As [`Dlsm::with_seed`], buffering up to `batch` inserts per
-    /// handle (the mq-sticky insertion-buffer idea): buffered items are
-    /// sorted once through the LSM kernels and injected as a single
-    /// pre-sorted block instead of `batch` separate insert cascades.
-    /// `delete_min` commits the handle's own buffer first, and
-    /// [`PqHandle::flush`] / drop commit the rest, so no item is lost.
-    pub fn with_batch(max_threads: usize, seed: u64, batch: usize) -> Self {
         assert!(max_threads > 0, "DLSM needs at least one slot");
-        assert!(batch > 0, "batch of 0 would never commit");
         Self {
             slots: (0..max_threads)
                 .map(|_| CachePadded::new(Mutex::new(Lsm::new())))
                 .collect(),
             next_slot: AtomicUsize::new(0),
             seed,
-            batch,
         }
     }
 
@@ -151,10 +136,6 @@ pub struct DlsmHandle<'a> {
     dlsm: &'a Dlsm,
     slot: usize,
     rng: SmallRng,
-    /// Pending inserts, committed as one sorted block at `batch` items
-    /// (empty forever when `batch == 1`). The buffer keeps its
-    /// allocation across commits.
-    ins_buf: Vec<Item>,
 }
 
 impl DlsmHandle<'_> {
@@ -162,39 +143,14 @@ impl DlsmHandle<'_> {
     pub fn slot(&self) -> usize {
         self.slot
     }
-
-    /// Sort the pending inserts once (tier-1 network for small batches)
-    /// and inject them into the local LSM as a single pre-sorted block.
-    /// Returns the number of committed items.
-    fn commit_inserts(&mut self) -> u64 {
-        if self.ins_buf.is_empty() {
-            return 0;
-        }
-        self.ins_buf.sort_unstable();
-        let n = self.ins_buf.len() as u64;
-        self.dlsm
-            .with_slot(self.slot, |l| l.merge_in_from(&self.ins_buf));
-        self.ins_buf.clear();
-        n
-    }
 }
 
 impl PqHandle for DlsmHandle<'_> {
     fn insert(&mut self, key: Key, value: Value) {
-        if self.dlsm.batch <= 1 {
-            self.dlsm.with_slot(self.slot, |l| l.insert(key, value));
-            return;
-        }
-        self.ins_buf.push(Item::new(key, value));
-        if self.ins_buf.len() >= self.dlsm.batch {
-            self.commit_inserts();
-        }
+        self.dlsm.with_slot(self.slot, |l| l.insert(key, value));
     }
 
     fn delete_min(&mut self) -> Option<Item> {
-        // The handle's own pending inserts must be visible to its own
-        // deletions (and to the spies of others) before any spy walk.
-        self.commit_inserts();
         loop {
             if let Some(it) = self.dlsm.with_slot(self.slot, SequentialPq::delete_min) {
                 return Some(it);
@@ -205,14 +161,10 @@ impl PqHandle for DlsmHandle<'_> {
         }
     }
 
-    fn flush(&mut self) -> u64 {
-        self.commit_inserts()
-    }
-}
-
-impl Drop for DlsmHandle<'_> {
-    fn drop(&mut self) {
-        self.flush();
+    /// The run lands in the local LSM as a single pre-sorted block
+    /// instead of `run.len()` separate insert cascades.
+    fn insert_sorted_run(&mut self, run: &[Item]) {
+        self.dlsm.with_slot(self.slot, |l| l.merge_in_from(run));
     }
 }
 
@@ -225,16 +177,11 @@ impl ConcurrentPq for Dlsm {
             dlsm: self,
             slot,
             rng: SmallRng::seed_from_u64(handle_seed(self.seed, slot as u64)),
-            ins_buf: Vec::new(),
         }
     }
 
     fn name(&self) -> String {
-        if self.batch > 1 {
-            format!("dlsm-b{}", self.batch)
-        } else {
-            "dlsm".to_owned()
-        }
+        "dlsm".to_owned()
     }
 }
 
@@ -280,42 +227,17 @@ mod tests {
     }
 
     #[test]
-    fn batched_inserts_commit_on_threshold_flush_and_delete() {
-        let d = Dlsm::with_batch(1, 77, 8);
-        assert_eq!(d.name(), "dlsm-b8");
-        let mut h = d.handle();
-        for k in 0..5u64 {
-            h.insert(k, k);
-        }
-        assert_eq!(d.len_quiescent(), 0, "below batch: still buffered");
-        // delete_min commits the handle's own buffer first.
-        assert_eq!(h.delete_min(), Some(pq_traits::Item::new(0, 0)));
-        for k in 10..18u64 {
-            h.insert(k, k);
-        }
-        assert_eq!(d.len_quiescent(), 12, "batch of 8 reached: committed");
-        for k in 20..23u64 {
-            h.insert(k, k);
-        }
-        assert_eq!(h.flush(), 3);
-        assert_eq!(h.flush(), 0, "nothing left to commit");
-        let mut got: Vec<Key> = std::iter::from_fn(|| h.delete_min()).map(|i| i.key).collect();
-        got.sort_unstable();
-        let mut expect: Vec<Key> = (1..5).chain(10..18).chain(20..23).collect();
-        expect.sort_unstable();
-        assert_eq!(got, expect);
-    }
-
-    #[test]
     fn dropping_batched_handle_flushes() {
-        let d = Dlsm::with_batch(2, 77, 64);
+        // The buffered run reaches the slot through `insert_sorted_run`.
+        let d = pq_traits::Buffered::new(Dlsm::new(2), 64);
         {
             let mut h = d.handle();
             for k in 0..10u64 {
                 h.insert(k, k);
             }
+            assert_eq!(d.inner().len_quiescent(), 0, "below m: still buffered");
         }
-        assert_eq!(d.len_quiescent(), 10, "drop must commit the buffer");
+        assert_eq!(d.inner().len_quiescent(), 10, "drop must commit the buffer");
     }
 
     #[test]
@@ -397,7 +319,6 @@ mod tests {
                 dlsm: self,
                 slot: 0,
                 rng: SmallRng::seed_from_u64(7),
-                ins_buf: Vec::new(),
             }
         }
     }

@@ -32,10 +32,6 @@ pub struct Klsm {
     k: usize,
     seed: u64,
     handle_ctr: AtomicU64,
-    /// Handle insert-buffer capacity; 1 means unbuffered (historical
-    /// behaviour). Buffered items widen the rank bound — see
-    /// [`RelaxationBound::rank_bound`].
-    batch: usize,
 }
 
 impl Klsm {
@@ -49,27 +45,13 @@ impl Klsm {
     /// RNGs (handle `i` gets `seed ⊕ mix(i)`), so merge/spy tie-breaks
     /// replay deterministically.
     pub fn with_seed(k: usize, max_threads: usize, seed: u64) -> Self {
-        Self::with_batch(k, max_threads, seed, 1)
-    }
-
-    /// As [`Klsm::with_seed`], buffering up to `batch` inserts per
-    /// handle: buffered items are sorted once through the LSM kernels
-    /// and injected as a single pre-sorted block (then evicted to the
-    /// SLSM as usual if the local component overflows `k`). A handle's
-    /// own deletions see the buffer — its minimum competes with the
-    /// local and shared minima and is served from the buffer when it
-    /// wins — while other threads may miss up to `batch − 1` buffered
-    /// items per handle, which the rank bound accounts for.
-    pub fn with_batch(k: usize, max_threads: usize, seed: u64, batch: usize) -> Self {
         assert!(k > 0, "k-LSM requires k > 0");
-        assert!(batch > 0, "batch of 0 would never commit");
         Self {
             dlsm: Dlsm::with_seed(max_threads, seed ^ 0xD15A),
             slsm: Slsm::with_seed(k, seed ^ 0x515A),
             k,
             seed,
             handle_ctr: AtomicU64::new(0),
-            batch,
         }
     }
 
@@ -95,56 +77,10 @@ pub struct KlsmHandle<'a> {
     q: &'a Klsm,
     slot: usize,
     rng: SmallRng,
-    /// Pending inserts, committed as one sorted block at `batch` items
-    /// (empty forever when `batch == 1`). The buffer keeps its
-    /// allocation across commits.
-    ins_buf: Vec<Item>,
-}
-
-impl KlsmHandle<'_> {
-    /// Sort the pending inserts once (tier-1 network for small batches),
-    /// inject them into the local component as a single pre-sorted
-    /// block, then evict to the SLSM until the local component is back
-    /// within `k`. Returns the number of committed items.
-    fn commit_inserts(&mut self) -> u64 {
-        if self.ins_buf.is_empty() {
-            return 0;
-        }
-        self.ins_buf.sort_unstable();
-        let n = self.ins_buf.len() as u64;
-        self.q
-            .dlsm
-            .with_slot(self.slot, |local| local.merge_in_from(&self.ins_buf));
-        self.ins_buf.clear();
-        // A bulk merge can overflow `k` by more than one block's worth,
-        // so evict repeatedly (each eviction removes > half the local
-        // items, so this loop is short).
-        loop {
-            let evicted = self.q.dlsm.with_slot(self.slot, |local| {
-                if local.len() > self.q.k {
-                    local.pop_largest_block()
-                } else {
-                    None
-                }
-            });
-            match evicted {
-                Some(block) => self.q.slsm.insert_sorted_batch(block),
-                None => break,
-            }
-        }
-        n
-    }
 }
 
 impl PqHandle for KlsmHandle<'_> {
     fn insert(&mut self, key: Key, value: Value) {
-        if self.q.batch > 1 {
-            self.ins_buf.push(Item::new(key, value));
-            if self.ins_buf.len() >= self.q.batch {
-                self.commit_inserts();
-            }
-            return;
-        }
         // Insert locally; evict the largest local block into the SLSM on
         // overflow. The evicted block holds more than half of the local
         // items, so evictions are amortized over ≥ k/2 inserts.
@@ -163,68 +99,50 @@ impl PqHandle for KlsmHandle<'_> {
     }
 
     fn delete_min(&mut self) -> Option<Item> {
-        // The handle's own pending inserts must be visible to its own
-        // deletions, but committing the buffer on every delete defeats
-        // the batching entirely on mixed workloads (the buffer never
-        // fills) and pays the slot lock and merge machinery per ~1-item
-        // commit. Instead the buffered minimum competes directly: it
-        // joins the local/shared comparison, and when it wins it is
-        // served straight out of the buffer (O(batch) scan of at most
-        // `batch` items) with no commit at all.
-        let buf_min = self.ins_buf.iter().copied().min();
+        let q = self.q;
         loop {
             // Hold the slot for the whole peek/compare/delete so the
             // peeked local minimum cannot be spied away in between.
-            let result = self.q.dlsm.with_slot(self.slot, |local| {
-                let local_min = match (local.peek_min(), buf_min) {
-                    (Some(l), Some(b)) => Some(l.min(b)),
-                    (l, b) => l.or(b),
-                };
-                match self.q.slsm.delete_min_if_better(local_min, &mut self.rng) {
-                    SlsmOutcome::TookShared(item) => Some(Some(item)),
-                    SlsmOutcome::UseLocal => {
-                        if buf_min.is_some() && buf_min == local_min {
-                            // Serve the buffered item; `None` here means
-                            // "take it from the buffer" to the caller
-                            // below (outside the slot lock).
-                            Some(None)
-                        } else {
-                            Some(local.delete_min())
-                        }
-                    }
+            let item = q.dlsm.with_slot(self.slot, |local| {
+                match q.slsm.delete_min_if_better(local.peek_min(), &mut self.rng) {
+                    SlsmOutcome::TookShared(item) => Some(item),
+                    SlsmOutcome::UseLocal => local.delete_min(),
                     SlsmOutcome::Empty => None,
                 }
             });
-            match result {
-                Some(Some(item)) => return Some(item),
-                Some(None) => {
-                    let best = buf_min.expect("buffer won the comparison");
-                    let idx = self
-                        .ins_buf
-                        .iter()
-                        .position(|&it| it == best)
-                        .expect("buffered minimum still present");
-                    self.ins_buf.swap_remove(idx);
-                    return Some(best);
-                }
-                None => {
-                    // Both components empty: spy on other threads' locals.
-                    if self.q.dlsm.spy_into(self.slot, &mut self.rng) == 0 {
-                        return None;
-                    }
-                }
+            if item.is_some() {
+                return item;
+            }
+            // Both components empty: spy on other threads' locals.
+            if q.dlsm.spy_into(self.slot, &mut self.rng) == 0 {
+                return None;
             }
         }
     }
 
-    fn flush(&mut self) -> u64 {
-        self.commit_inserts()
-    }
-}
-
-impl Drop for KlsmHandle<'_> {
-    fn drop(&mut self) {
-        self.flush();
+    /// The run lands in the local component as a single pre-sorted
+    /// block, then the component is evicted to the SLSM until it is back
+    /// within `k`.
+    fn insert_sorted_run(&mut self, run: &[Item]) {
+        self.q
+            .dlsm
+            .with_slot(self.slot, |local| local.merge_in_from(run));
+        // A bulk merge can overflow `k` by more than one block's worth,
+        // so evict repeatedly (each eviction removes > half the local
+        // items, so this loop is short).
+        loop {
+            let evicted = self.q.dlsm.with_slot(self.slot, |local| {
+                if local.len() > self.q.k {
+                    local.pop_largest_block()
+                } else {
+                    None
+                }
+            });
+            match evicted {
+                Some(block) => self.q.slsm.insert_sorted_batch(block),
+                None => break,
+            }
+        }
     }
 }
 
@@ -237,31 +155,26 @@ impl ConcurrentPq for Klsm {
             q: self,
             slot: self.dlsm.claim_slot(),
             rng: SmallRng::seed_from_u64(handle_seed(self.seed, idx)),
-            ins_buf: Vec::new(),
         }
     }
 
     fn name(&self) -> String {
-        if self.batch > 1 {
-            format!("klsm{}-b{}", self.k, self.batch)
-        } else {
-            format!("klsm{}", self.k)
-        }
+        format!("klsm{}", self.k)
     }
 }
 
 impl RelaxationBound for Klsm {
     fn rank_bound(&self, threads: usize) -> Option<u64> {
-        // Each other thread may hold up to `k` items in its local
-        // component plus `batch − 1` unflushed buffered inserts that a
-        // deletion cannot see.
-        Some(((self.k + self.batch - 1) * threads) as u64)
+        // Each thread may hold up to `k` items in its local component,
+        // which a deletion through another handle cannot see.
+        Some((self.k * threads) as u64)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pq_traits::Buffered;
 
     #[test]
     fn single_thread_returns_all_items() {
@@ -367,7 +280,6 @@ mod tests {
             q: &q,
             slot: 0,
             rng: SmallRng::seed_from_u64(3),
-            ins_buf: Vec::new(),
         };
         let mut rest = 0usize;
         while h.delete_min().is_some() {
@@ -394,20 +306,23 @@ mod tests {
 
     #[test]
     fn batched_rank_bound_counts_buffered_items() {
-        let q = Klsm::with_batch(128, 1, 0x5EED, 16);
+        let q = Buffered::new(Klsm::new(128, 1), 16);
         assert_eq!(q.name(), "klsm128-b16");
         assert_eq!(q.rank_bound(8), Some((128 + 15) * 8));
     }
 
     #[test]
     fn batched_klsm_conserves_and_orders_items() {
-        let q = Klsm::with_batch(8, 1, 0x5EED, 16);
+        let q = Buffered::new(Klsm::new(8, 1), 16);
         let mut h = q.handle();
         for k in (0..100u64).rev() {
             h.insert(k, k);
         }
         // 100 inserts at batch 16: the last 4 are still buffered.
         assert_eq!(h.flush(), 4);
+        // Every run landed as one block and was evicted back within k.
+        assert_eq!(q.inner().len_quiescent(), 100);
+        assert!(q.inner().dlsm.len_quiescent() <= 8);
         let mut got: Vec<Key> = std::iter::from_fn(|| h.delete_min()).map(|i| i.key).collect();
         got.sort_unstable();
         assert_eq!(got, (0..100).collect::<Vec<_>>());
@@ -415,18 +330,14 @@ mod tests {
 
     #[test]
     fn dropping_batched_klsm_handle_flushes() {
-        let q = Klsm::with_batch(4, 2, 0x5EED, 64);
+        let q = Buffered::new(Klsm::new(4, 2), 64);
         {
             let mut h = q.handle();
             for k in 0..20u64 {
                 h.insert(k, k);
             }
         }
-        // All 20 items are visible to a fresh handle after the drop.
-        let mut h2 = q.handle();
-        let mut got: Vec<Key> = std::iter::from_fn(|| h2.delete_min()).map(|i| i.key).collect();
-        got.sort_unstable();
-        assert_eq!(got, (0..20).collect::<Vec<_>>());
+        assert_eq!(q.inner().len_quiescent(), 20, "drop must commit the buffer");
     }
 
     proptest::proptest! {

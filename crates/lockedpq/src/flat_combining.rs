@@ -16,21 +16,13 @@
 //! pops with no interleaved inserts yield ascending keys, which the
 //! combiner assigns to requesters in slot order.
 //!
-//! [`PqHandle::flush`] maps to publish-insert-batches: with a batch
-//! parameter `m > 1` the handle buffers inserts locally and publishes
-//! the whole run as one record (`m` items applied under one
-//! publication). `delete_min` on a non-empty buffer publishes a
-//! combined *batch-then-delete* record: the combiner commits the
-//! handle's buffered run and then serves the pop from the same critical
-//! section, so the handle's own inserts always participate in its
-//! deletions and there is no buffered-min vs. shared-min tie case to
-//! resolve.
+//! [`PqHandle::insert_sorted_run`] publishes the whole run as one record
+//! (all of its items applied under one publication), which is how
+//! `pq_traits::Buffered` commits its insert buffer to `fc-*-b<m>`.
 //!
-//! With `m = 1` the wrapper is **strict** (rank bound 0): every operation
-//! is applied to the sequential substrate under the combiner lock, and
-//! the linearization order is the order the combiner applies them.
-//! With `m > 1` up to `m − 1` inserts per handle may be deferred, giving
-//! the same `(m − 1)·P` relaxation shape as the other buffering handles.
+//! The wrapper is **strict** (rank bound 0): every operation is applied
+//! to the sequential substrate under the combiner lock, and the
+//! linearization order is the order the combiner applies them.
 //!
 //! Telemetry: [`Event::FcLockAcquire`] per won combiner election,
 //! [`Event::FcCombineRound`] per scan pass that applied work, and
@@ -103,18 +95,15 @@ impl FcSubstrate for MoundSubstrate {
 }
 
 // Publication-record states. `ST_EMPTY`/`ST_DONE*` are terminal (owner
-// side); `ST_INSERT`/`ST_DELETE`/`ST_BATCH`/`ST_BATCH_DELETE` are
-// pending requests the combiner consumes. `ST_BATCH_DELETE` is served
-// in two steps: the insert pass commits the published run and downgrades
-// the record to `ST_DELETE`, which the delete pass then completes.
+// side); `ST_INSERT`/`ST_DELETE`/`ST_BATCH` are pending requests the
+// combiner consumes.
 const ST_EMPTY: u64 = 0;
 const ST_INSERT: u64 = 1;
 const ST_DELETE: u64 = 2;
 const ST_BATCH: u64 = 3;
-const ST_BATCH_DELETE: u64 = 4;
-const ST_DONE: u64 = 5;
-const ST_DONE_ITEM: u64 = 6;
-const ST_DONE_EMPTY: u64 = 7;
+const ST_DONE: u64 = 4;
+const ST_DONE_ITEM: u64 = 5;
+const ST_DONE_EMPTY: u64 = 6;
 
 /// One per-handle publication record, padded to its own cache line so a
 /// spinning owner never shares a line with another handle's record or
@@ -126,10 +115,9 @@ struct PubRecord {
     op: AtomicU64,
     key: AtomicU64,
     value: AtomicU64,
-    /// Base pointer / length of the owner's insert buffer for
-    /// `ST_BATCH`/`ST_BATCH_DELETE`. Valid for exactly as long as the
-    /// record is pending: the owner spins until a `ST_DONE*` state and
-    /// does not touch the buffer in between.
+    /// Base pointer / length of the run the owner borrows for `ST_BATCH`.
+    /// Valid for exactly as long as the record is pending: the owner
+    /// holds the borrow and spins until a `ST_DONE*` state.
     batch_ptr: AtomicUsize,
     batch_len: AtomicUsize,
     res_key: AtomicU64,
@@ -160,7 +148,6 @@ pub struct FlatCombining<S: FcSubstrate> {
     shared: Mutex<S>,
     slots: Box<[CachePadded<PubRecord>]>,
     handle_ctr: AtomicUsize,
-    batch: usize,
     /// Spin budget between combiner-lock probes. On a single-core host
     /// this is 0 — a spinning waiter only steals cycles from the
     /// combiner that would serve it, so the wait loop yields instead.
@@ -175,34 +162,28 @@ pub struct FlatCombining<S: FcSubstrate> {
 
 /// `fc-globallock`: flat combining over the sequential binary heap (the
 /// same substrate as the plain `globallock` queue, for a like-for-like
-/// A/B). `batch <= 1` disables insert buffering.
-pub fn fc_globallock(
-    max_handles: usize,
-    batch: usize,
-) -> FlatCombining<SeqSubstrate<seqpq::BinaryHeap>> {
-    let name = if batch <= 1 {
-        "fc-globallock".to_owned()
-    } else {
-        format!("fc-globallock-b{batch}")
-    };
-    FlatCombining::with_substrate(name, SeqSubstrate(seqpq::BinaryHeap::new()), max_handles, batch)
+/// A/B).
+pub fn fc_globallock(max_handles: usize) -> FlatCombining<SeqSubstrate<seqpq::BinaryHeap>> {
+    FlatCombining::with_substrate(
+        "fc-globallock".to_owned(),
+        SeqSubstrate(seqpq::BinaryHeap::new()),
+        max_handles,
+    )
 }
 
 /// `fc-mound`: flat combining over the [`Mound`], deterministically
-/// seeded. `batch <= 1` disables insert buffering.
-pub fn fc_mound(max_handles: usize, batch: usize, seed: u64) -> FlatCombining<MoundSubstrate> {
-    let name = if batch <= 1 {
-        "fc-mound".to_owned()
-    } else {
-        format!("fc-mound-b{batch}")
-    };
-    FlatCombining::with_substrate(name, MoundSubstrate::with_seed(seed), max_handles, batch)
+/// seeded.
+pub fn fc_mound(max_handles: usize, seed: u64) -> FlatCombining<MoundSubstrate> {
+    FlatCombining::with_substrate(
+        "fc-mound".to_owned(),
+        MoundSubstrate::with_seed(seed),
+        max_handles,
+    )
 }
 
 impl<S: FcSubstrate> FlatCombining<S> {
-    /// Wrap `substrate` with `max_handles` publication slots. Inserts are
-    /// buffered per handle in runs of `batch` (`<= 1` = unbuffered).
-    pub fn with_substrate(name: String, substrate: S, max_handles: usize, batch: usize) -> Self {
+    /// Wrap `substrate` with `max_handles` publication slots.
+    pub fn with_substrate(name: String, substrate: S, max_handles: usize) -> Self {
         let slots = (0..max_handles.max(1))
             .map(|_| CachePadded::new(PubRecord::default()))
             .collect();
@@ -214,7 +195,6 @@ impl<S: FcSubstrate> FlatCombining<S> {
             shared: Mutex::new(substrate),
             slots,
             handle_ctr: AtomicUsize::new(0),
-            batch: batch.max(1),
             spin: if parallel > 1 { 64 } else { 0 },
             pending: CachePadded::new(AtomicUsize::new(0)),
         }
@@ -250,13 +230,6 @@ impl<S: FcSubstrate> FlatCombining<S> {
                         applied += self.apply_batch(rec, sub);
                         rec.op.store(ST_DONE, Ordering::Release);
                         served += 1;
-                    }
-                    ST_BATCH_DELETE => {
-                        // Commit the run now; the delete pass below picks
-                        // up the downgraded record (counted there).
-                        applied += self.apply_batch(rec, sub);
-                        rec.op.store(ST_DELETE, Ordering::Release);
-                        any_delete = true;
                     }
                     ST_DELETE => any_delete = true,
                     // ST_EMPTY and the ST_DONE* states carry no work.
@@ -294,9 +267,9 @@ impl<S: FcSubstrate> FlatCombining<S> {
     }
 
     /// Apply a published insert run. Sound because the owning handle
-    /// spins until this record reaches a `ST_DONE*` state and leaves the
-    /// buffer untouched (and alive) until then; the `Release` publish /
-    /// `Acquire` consume pair on `op` orders the pointer and contents.
+    /// keeps the run borrowed while it spins until this record reaches a
+    /// `ST_DONE*` state; the `Release` publish / `Acquire` consume pair
+    /// on `op` orders the pointer and contents.
     fn apply_batch(&self, rec: &PubRecord, sub: &mut S) -> u64 {
         let ptr = rec.batch_ptr.load(Ordering::Relaxed) as *const Item;
         let len = rec.batch_len.load(Ordering::Relaxed);
@@ -324,11 +297,7 @@ impl<S: FcSubstrate> ConcurrentPq for FlatCombining<S> {
             slot + 1,
             self.slots.len()
         );
-        FcHandle {
-            q: self,
-            slot,
-            ins_buf: Vec::with_capacity(self.batch),
-        }
+        FcHandle { q: self, slot }
     }
 
     fn name(&self) -> String {
@@ -337,25 +306,21 @@ impl<S: FcSubstrate> ConcurrentPq for FlatCombining<S> {
 }
 
 impl<S: FcSubstrate> RelaxationBound for FlatCombining<S> {
-    /// Strict (`Some(0)`) when unbuffered: every op is applied to the
-    /// sequential substrate under the combiner lock. With insert runs of
-    /// `m`, up to `m − 1` items per *other* handle are locally buffered
-    /// and invisible to a deletion (a handle's own buffer is committed
-    /// by its own delete via the batch-then-delete publication).
-    fn rank_bound(&self, threads: usize) -> Option<u64> {
-        Some(((self.batch - 1) * threads) as u64)
+    /// Strict: every op is applied to the sequential substrate under
+    /// the combiner lock.
+    fn rank_bound(&self, _threads: usize) -> Option<u64> {
+        Some(0)
     }
 }
 
-/// Per-thread handle: one publication slot plus the local insert buffer.
+/// Per-thread handle: one publication slot.
 pub struct FcHandle<'a, S: FcSubstrate> {
     q: &'a FlatCombining<S>,
     slot: usize,
-    ins_buf: Vec<Item>,
 }
 
 impl<S: FcSubstrate> FcHandle<'_, S> {
-    /// Execute `op` (args for `ST_INSERT`; batch ops read `ins_buf`).
+    /// Execute `op` (`key`/`value` for `ST_INSERT`, `run` for `ST_BATCH`).
     ///
     /// Fast path: if the combiner lock is free, skip publication
     /// entirely — apply the op directly (exactly the plain locked
@@ -363,7 +328,7 @@ impl<S: FcSubstrate> FcHandle<'_, S> {
     /// scan for anyone who published meanwhile. Slow path: publish in
     /// this handle's record and spin until a combiner — possibly this
     /// thread, after a later election — applies it.
-    fn run_op(&mut self, op: u64, key: Key, value: Value) -> Option<Item> {
+    fn run_op(&mut self, op: u64, key: Key, value: Value, run: &[Item]) -> Option<Item> {
         if let Some(mut sub) = self.q.shared.try_lock() {
             telemetry::record(Event::FcLockAcquire);
             let res = match op {
@@ -373,18 +338,10 @@ impl<S: FcSubstrate> FcHandle<'_, S> {
                 }
                 ST_DELETE => sub.apply_delete_min(),
                 ST_BATCH => {
-                    for it in &self.ins_buf {
+                    for it in run {
                         sub.apply_insert(it.key, it.value);
                     }
-                    self.ins_buf.clear();
                     None
-                }
-                ST_BATCH_DELETE => {
-                    for it in &self.ins_buf {
-                        sub.apply_insert(it.key, it.value);
-                    }
-                    self.ins_buf.clear();
-                    sub.apply_delete_min()
                 }
                 _ => unreachable!("run_op on a non-request state"),
             };
@@ -399,9 +356,9 @@ impl<S: FcSubstrate> FcHandle<'_, S> {
                 rec.key.store(key, Ordering::Relaxed);
                 rec.value.store(value, Ordering::Relaxed);
             }
-            ST_BATCH | ST_BATCH_DELETE => {
-                rec.batch_ptr.store(self.ins_buf.as_ptr() as usize, Ordering::Relaxed);
-                rec.batch_len.store(self.ins_buf.len(), Ordering::Relaxed);
+            ST_BATCH => {
+                rec.batch_ptr.store(run.as_ptr() as usize, Ordering::Relaxed);
+                rec.batch_len.store(run.len(), Ordering::Relaxed);
             }
             _ => {}
         }
@@ -410,26 +367,12 @@ impl<S: FcSubstrate> FcHandle<'_, S> {
         let mut spins: u32 = 0;
         loop {
             match rec.op.load(Ordering::Acquire) {
-                ST_DONE => {
-                    if op == ST_BATCH {
-                        self.ins_buf.clear();
-                    }
-                    return None;
-                }
+                ST_DONE | ST_DONE_EMPTY => return None,
                 ST_DONE_ITEM => {
-                    if op == ST_BATCH_DELETE {
-                        self.ins_buf.clear();
-                    }
                     return Some(Item::new(
                         rec.res_key.load(Ordering::Relaxed),
                         rec.res_value.load(Ordering::Relaxed),
                     ));
-                }
-                ST_DONE_EMPTY => {
-                    if op == ST_BATCH_DELETE {
-                        self.ins_buf.clear();
-                    }
-                    return None;
                 }
                 _pending => {
                     if let Some(mut sub) = self.q.shared.try_lock() {
@@ -455,54 +398,31 @@ impl<S: FcSubstrate> FcHandle<'_, S> {
             }
         }
     }
-
 }
 
 impl<S: FcSubstrate> PqHandle for FcHandle<'_, S> {
     fn insert(&mut self, key: Key, value: Value) {
-        if self.q.batch <= 1 {
-            self.run_op(ST_INSERT, key, value);
-        } else {
-            self.ins_buf.push(Item::new(key, value));
-            if self.ins_buf.len() >= self.q.batch {
-                self.run_op(ST_BATCH, 0, 0);
-            }
-        }
+        self.run_op(ST_INSERT, key, value, &[]);
     }
 
     fn delete_min(&mut self) -> Option<Item> {
-        if self.ins_buf.is_empty() {
-            self.run_op(ST_DELETE, 0, 0)
-        } else {
-            // Commit the buffered run and pop in one critical section, so
-            // this handle's own inserts always participate in its
-            // deletions (no buffered-min vs. shared-min tie case).
-            self.run_op(ST_BATCH_DELETE, 0, 0)
-        }
+        self.run_op(ST_DELETE, 0, 0, &[])
     }
 
-    fn flush(&mut self) -> u64 {
-        let n = self.ins_buf.len() as u64;
-        if n > 0 {
-            self.run_op(ST_BATCH, 0, 0);
-        }
-        n
-    }
-}
-
-impl<S: FcSubstrate> Drop for FcHandle<'_, S> {
-    fn drop(&mut self) {
-        self.flush();
+    /// One `ST_BATCH` publication of the borrowed run.
+    fn insert_sorted_run(&mut self, run: &[Item]) {
+        self.run_op(ST_BATCH, 0, 0, run);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pq_traits::Buffered;
 
     #[test]
     fn single_handle_is_a_strict_heap() {
-        let q = fc_globallock(1, 1);
+        let q = fc_globallock(1);
         let mut h = q.handle();
         for k in [5u64, 1, 9, 3] {
             h.insert(k, k * 10);
@@ -515,7 +435,7 @@ mod tests {
 
     #[test]
     fn batched_handle_buffers_until_flush() {
-        let q = fc_globallock(2, 4);
+        let q = Buffered::new(fc_globallock(2), 4);
         let mut a = q.handle();
         let mut b = q.handle();
         a.insert(1, 1);
@@ -529,11 +449,11 @@ mod tests {
 
     #[test]
     fn own_buffer_participates_in_own_deletes() {
-        let q = fc_globallock(1, 64);
+        let q = Buffered::new(fc_globallock(1), 64);
         let mut h = q.handle();
         h.insert(7, 7);
         h.insert(3, 3);
-        // Buffered (batch not reached), but delete commits the run first.
+        // Buffered (batch not reached), but the buffer competes in deletes.
         assert_eq!(h.delete_min(), Some(Item::new(3, 3)));
         assert_eq!(h.delete_min(), Some(Item::new(7, 7)));
         assert_eq!(h.delete_min(), None);
@@ -541,7 +461,7 @@ mod tests {
 
     #[test]
     fn dropped_handle_flushes_its_buffer() {
-        let q = fc_globallock(2, 16);
+        let q = Buffered::new(fc_globallock(2), 16);
         {
             let mut h = q.handle();
             h.insert(42, 0);
@@ -552,7 +472,7 @@ mod tests {
 
     #[test]
     fn mound_substrate_drains_sorted() {
-        let q = fc_mound(1, 1, 0xFC);
+        let q = fc_mound(1, 0xFC);
         let mut h = q.handle();
         for k in (0..200u64).rev() {
             h.insert(k, k);
@@ -565,7 +485,7 @@ mod tests {
 
     #[test]
     fn concurrent_ops_conserve_items() {
-        let q = std::sync::Arc::new(fc_globallock(5, 1));
+        let q = std::sync::Arc::new(fc_globallock(5));
         let mut joins = Vec::new();
         for t in 0..4u64 {
             let q = q.clone();

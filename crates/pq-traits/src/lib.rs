@@ -24,6 +24,7 @@
 
 #![warn(missing_docs)]
 
+pub mod buffered;
 pub mod chaos;
 pub mod history;
 pub mod instrument;
@@ -32,6 +33,7 @@ pub mod seed;
 pub mod telemetry;
 pub mod trace;
 
+pub use buffered::Buffered;
 pub use history::{Op, OpRecord, Recorded, RecordedHandle};
 pub use instrument::{Instrumented, OpCounts};
 pub use item::{Item, Key, Value};
@@ -116,6 +118,19 @@ pub trait PqHandle {
     /// (unbuffered handles have nothing to commit).
     fn flush(&mut self) -> u64 {
         0
+    }
+
+    /// Insert an ascending-sorted run of items.
+    ///
+    /// [`Buffered`] commits its insert buffer through this hook, so a
+    /// structure with a bulk-insert path (an LSM block merge, a skiplist
+    /// finger descent, one flat-combining publication) overrides it to
+    /// take the run in one step. Default: one [`PqHandle::insert`] per
+    /// item.
+    fn insert_sorted_run(&mut self, run: &[Item]) {
+        for it in run {
+            self.insert(it.key, it.value);
+        }
     }
 }
 

@@ -13,18 +13,6 @@
 //! this Rust implementation is stable in all configurations (epoch-based
 //! reclamation removes the memory-management races), so we report all of
 //! them and note the difference in EXPERIMENTS.md.
-//!
-//! # Insert buffering (`spray-b{m}`)
-//!
-//! [`SprayList::with_batch`] gives every handle a local insertion buffer
-//! of up to `m` items, committed as one ascending run through
-//! [`SkipList::insert_batch_sorted`] — a single epoch pin and one finger
-//! descent per run instead of a full search per item. Deletions follow
-//! the PR 5 dlsm/klsm handle semantics: when the buffered minimum wins
-//! (ties included — the buffered item never entered the shared
-//! structure, so serving it can neither duplicate nor lose anything) the
-//! deletion is served from the buffer; otherwise it sprays. `flush()`
-//! commits the remaining run, and so does dropping the handle.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -42,7 +30,6 @@ pub struct SprayList {
     list: SkipList,
     threads: usize,
     seed: u64,
-    batch: usize,
     handle_ctr: AtomicU64,
 }
 
@@ -58,17 +45,10 @@ impl SprayList {
     /// (handle `i` gets `seed ⊕ mix(i)`), making spray walks — and so
     /// quality runs — reproducible.
     pub fn with_seed(threads: usize, seed: u64) -> Self {
-        Self::with_batch(threads, seed, 1)
-    }
-
-    /// As [`SprayList::with_seed`], with per-handle insertion buffers of
-    /// `batch` items committed as one sorted run (`<= 1` = unbuffered).
-    pub fn with_batch(threads: usize, seed: u64, batch: usize) -> Self {
         Self {
             list: SkipList::new(),
             threads: threads.max(1),
             seed,
-            batch: batch.max(1),
             handle_ctr: AtomicU64::new(0),
         }
     }
@@ -88,67 +68,21 @@ impl SprayList {
 pub struct SprayHandle<'a> {
     q: &'a SprayList,
     rng: SmallRng,
-    /// Insertion buffer, sorted descending so the minimum is `last()`
-    /// (pop-from-the-end, the mq-sticky idiom). Capacity `q.batch`.
-    ins_buf: Vec<Item>,
-}
-
-impl SprayHandle<'_> {
-    /// Commit the buffered run as one ascending batch insert. Returns
-    /// the number of committed items.
-    fn commit_inserts(&mut self) -> u64 {
-        let n = self.ins_buf.len() as u64;
-        if n > 0 {
-            self.ins_buf.reverse(); // descending → ascending
-            self.q.list.insert_batch_sorted(&self.ins_buf, &mut self.rng);
-            self.ins_buf.clear();
-        }
-        n
-    }
 }
 
 impl PqHandle for SprayHandle<'_> {
     fn insert(&mut self, key: Key, value: Value) {
-        if self.q.batch <= 1 {
-            self.q.list.insert(key, value, &mut self.rng);
-            return;
-        }
-        let it = Item::new(key, value);
-        let pos = self.ins_buf.partition_point(|x| *x > it);
-        self.ins_buf.insert(pos, it);
-        if self.ins_buf.len() >= self.q.batch {
-            self.commit_inserts();
-        }
+        self.q.list.insert(key, value, &mut self.rng);
     }
 
     fn delete_min(&mut self) -> Option<Item> {
-        if let Some(&buf_min) = self.ins_buf.last() {
-            // Serve from the buffer when its min wins. Ties go to the
-            // buffer: the buffered item never entered the shared list,
-            // so taking it cannot duplicate or lose the shared copy.
-            let buf_wins = match self.q.list.peek_min() {
-                None => true,
-                Some(shared_min) => buf_min <= shared_min,
-            };
-            if buf_wins {
-                return self.ins_buf.pop();
-            }
-        }
-        match self.q.list.spray_delete(&mut self.rng, self.q.threads) {
-            Some(it) => Some(it),
-            // The shared list emptied under us; fall back to the buffer.
-            None => self.ins_buf.pop(),
-        }
+        self.q.list.spray_delete(&mut self.rng, self.q.threads)
     }
 
-    fn flush(&mut self) -> u64 {
-        self.commit_inserts()
-    }
-}
-
-impl Drop for SprayHandle<'_> {
-    fn drop(&mut self) {
-        self.commit_inserts();
+    /// One epoch pin and one finger descent for the whole run instead of
+    /// a full search per item.
+    fn insert_sorted_run(&mut self, run: &[Item]) {
+        self.q.list.insert_batch_sorted(run, &mut self.rng);
     }
 }
 
@@ -160,16 +94,11 @@ impl ConcurrentPq for SprayList {
         SprayHandle {
             q: self,
             rng: SmallRng::seed_from_u64(handle_seed(self.seed, idx)),
-            ins_buf: Vec::with_capacity(self.batch),
         }
     }
 
     fn name(&self) -> String {
-        if self.batch <= 1 {
-            "spray".to_owned()
-        } else {
-            format!("spray-b{}", self.batch)
-        }
+        "spray".to_owned()
     }
 }
 
@@ -182,10 +111,7 @@ impl RelaxationBound for SprayList {
         // which inflated the curve ~2.4× at P = 8 and ~8× at P = 2.
         let p = threads.max(2) as u64;
         let log_p = 63 - p.leading_zeros() as u64;
-        let curve = p * log_p * log_p * log_p;
-        // Insert buffering adds up to m − 1 locally deferred items per
-        // handle that a deletion elsewhere cannot see.
-        Some(curve + ((self.batch as u64 - 1) * threads as u64))
+        Some(p * log_p * log_p * log_p)
     }
 
     fn rank_bound_is_guaranteed(&self) -> bool {
@@ -199,6 +125,7 @@ impl RelaxationBound for SprayList {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pq_traits::Buffered;
 
     #[test]
     fn drains_all_items() {
@@ -241,8 +168,8 @@ mod tests {
         }
         // threads < 2 clamps to P = 2.
         assert_eq!(q.rank_bound(1), Some(2));
-        // Buffered variant adds (m − 1)·P on top of the curve.
-        let qb = SprayList::with_batch(4, 7, 16);
+        // Insert buffering adds (m − 1)·P on top of the curve.
+        let qb = Buffered::new(SprayList::new(4), 16);
         assert_eq!(qb.rank_bound(8), Some(216 + 15 * 8));
     }
 
@@ -258,63 +185,28 @@ mod tests {
 
     #[test]
     fn batched_handle_serves_buffer_and_flushes() {
-        let q = SprayList::with_batch(2, 11, 8);
+        let q = Buffered::new(SprayList::new(2), 8);
         let mut h = q.handle();
         h.insert(5, 50);
         h.insert(2, 20);
-        assert_eq!(q.len_hint(), 0, "runs below the batch stay buffered");
+        assert_eq!(q.inner().len_hint(), 0, "runs below the batch stay buffered");
         // Buffered min wins over the empty shared list.
         assert_eq!(h.delete_min(), Some(Item::new(2, 20)));
         assert_eq!(h.flush(), 1);
-        assert_eq!(q.len_hint(), 1);
+        assert_eq!(q.inner().len_hint(), 1);
         assert_eq!(h.delete_min(), Some(Item::new(5, 50)));
         assert_eq!(h.delete_min(), None);
     }
 
     #[test]
     fn batched_handle_commits_at_batch_size() {
-        let q = SprayList::with_batch(2, 11, 4);
+        let q = Buffered::new(SprayList::new(2), 4);
         let mut h = q.handle();
         for k in [9u64, 1, 7, 3] {
             h.insert(k, k);
         }
-        assert_eq!(q.len_hint(), 4, "hitting the batch size commits the run");
+        assert_eq!(q.inner().len_hint(), 4, "the run landed through insert_batch_sorted");
         assert_eq!(h.flush(), 0);
-    }
-
-    #[test]
-    fn dropped_batched_handle_flushes() {
-        let q = SprayList::with_batch(2, 11, 64);
-        {
-            let mut h = q.handle();
-            h.insert(42, 0);
-            h.insert(43, 0);
-        }
-        let mut h2 = q.handle();
-        // Spray deletions are relaxed (may skip past the head), so
-        // compare the drained multiset, not the order.
-        let mut got: Vec<Item> = std::iter::from_fn(|| h2.delete_min()).collect();
-        got.sort_unstable();
-        assert_eq!(got, vec![Item::new(42, 0), Item::new(43, 0)]);
-    }
-
-    #[test]
-    fn buffered_tie_with_shared_min_neither_duplicates_nor_loses() {
-        // Engineer buffered-min == shared-min (same key, distinct
-        // values) and drain: every item must come back exactly once.
-        let q = SprayList::with_batch(2, 11, 8);
-        let mut committer = q.handle();
-        committer.insert(5, 1);
-        committer.flush();
-        let mut h = q.handle();
-        h.insert(5, 2); // buffered; ties with the shared (5, 1)
-        let mut got = Vec::new();
-        for _ in 0..2 {
-            got.push(h.delete_min().expect("two items live"));
-        }
-        assert_eq!(h.delete_min(), None);
-        got.sort_unstable();
-        assert_eq!(got, vec![Item::new(5, 1), Item::new(5, 2)]);
     }
 
     #[test]
@@ -365,7 +257,7 @@ mod tests {
     #[test]
     fn concurrent_conservation_batched_handles() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let q = std::sync::Arc::new(SprayList::with_batch(4, 3, 16));
+        let q = std::sync::Arc::new(Buffered::new(SprayList::new(4), 16));
         let deleted = AtomicUsize::new(0);
         std::thread::scope(|s| {
             for t in 0..4u64 {

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Smoke benchmark for the MultiQueue family: plain multiqueue vs. the
-# mq-sticky stickiness/buffering grid on the uniform workload. Writes
-# BENCH_multiqueue.json (see crates/bench/src/bin/mq_smoke.rs) at the
-# repository root and prints the best sticky config's speedup.
-#
-# Also runs three observability checks:
+# Smoke benchmarks and gates, one short run of each:
+#   * mq_smoke — plain multiqueue vs. the mq-sticky stickiness/buffering
+#     grid on the uniform workload; writes BENCH_multiqueue.json at the
+#     repository root and prints the best sticky config's speedup;
+#   * batch_ablation — flat-combining A/B gate (FC_MIN_SPEEDUP) plus the
+#     insert-buffer size frontier; writes BENCH_flat_combining.json;
+#   * checker_stress — one chaos cell plus the mutation tests;
 #   * instr_overhead — asserts the Instrumented wrapper costs less than
 #     INSTR_MAX_OVERHEAD_PCT (default 5) percent of plain throughput,
 #     guarding the per-handle sharded-counter design against regressions

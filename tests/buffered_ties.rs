@@ -2,13 +2,13 @@
 //! same minimum key as the shared structure, serving the delete from
 //! either side must neither duplicate nor lose an item.
 //!
-//! Every batching family buffers inserts handle-locally (klsm/dlsm
-//! staged runs, mq-sticky per-handle batches, spray sorted buffers, fc
-//! publication batches) and resolves a delete by comparing the buffer
-//! minimum against the shared minimum. A buffered item has *not*
-//! entered the shared structure, so serving it from the buffer on a tie
-//! is always safe — these tests pin that down with duplicate-heavy
-//! workloads where ties occur on nearly every delete.
+//! Two implementations buffer inserts handle-locally —
+//! `pq_traits::Buffered` behind every `-b<m>` spec and mq-sticky's own
+//! — and both resolve a delete by comparing the buffer minimum against
+//! a shared minimum. A buffered item is *not* in the shared structure,
+//! so serving it from the buffer on a tie is always safe — these tests
+//! pin that down per queue family with duplicate-heavy workloads where
+//! ties occur on nearly every delete.
 
 use harness::{with_queue, QueueSpec};
 use pq_traits::{ConcurrentPq, PqHandle};

@@ -22,9 +22,9 @@ fn strict_specs() -> Vec<QueueSpec> {
         QueueSpec::Cbpq,
         QueueSpec::FcGlobalLock(1),
         QueueSpec::FcMound(1),
-        // Batched flat combining stays exact through one handle: a
-        // delete publishes batch-then-delete, committing its own buffer
-        // before the pop.
+        // Buffered flat combining stays exact through one handle: a
+        // delete returns the smaller of the buffer minimum and the
+        // strict inner minimum.
         QueueSpec::FcGlobalLock(8),
         QueueSpec::FcMound(8),
     ]

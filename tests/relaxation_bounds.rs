@@ -172,3 +172,21 @@ fn spray_rank_is_moderate() {
         r.rank.mean
     );
 }
+
+#[test]
+fn buffered_specs_widen_the_inner_bound_by_m_minus_one_per_thread() {
+    use harness::with_queue;
+    use pq_traits::RelaxationBound;
+    let (m, threads) = (16usize, 4usize);
+    for (buffered, inner) in [
+        (QueueSpec::KlsmBatch(128, m), QueueSpec::Klsm(128)),
+        (QueueSpec::DlsmBatch(m), QueueSpec::Dlsm),
+        (QueueSpec::SprayBatch(m), QueueSpec::Spray),
+        (QueueSpec::FcGlobalLock(m), QueueSpec::FcGlobalLock(1)),
+        (QueueSpec::FcMound(m), QueueSpec::FcMound(1)),
+    ] {
+        let bound = |spec| with_queue!(spec, threads, q => q.rank_bound(threads));
+        let parked = ((m - 1) * threads) as u64;
+        assert_eq!(bound(buffered), bound(inner).map(|b| b + parked), "{buffered}");
+    }
+}
