@@ -23,7 +23,9 @@
 
 use std::time::Duration;
 
-use harness::{run_throughput, run_quality, QueueSpec, ThroughputResult};
+use harness::{run_quality, run_throughput, QueueSpec, ThroughputResult};
+use pq_bench::cli;
+use pq_bench::metrics::{json_escape, json_f64, json_f64_array};
 use workloads::config::StopCondition;
 use workloads::{BenchConfig, KeyDistribution, Workload};
 
@@ -39,7 +41,11 @@ struct Args {
     out: String,
 }
 
-fn parse_args() -> Result<Args, String> {
+const USAGE: &str = "usage: batch_ablation [--threads N] [--prefill N] [--duration-ms N] \
+                     [--ab-rounds N] [--ab-batch M] [--quality-ops N] [--seed N] \
+                     [--min-speedup F] [--out BENCH_flat_combining.json]";
+
+fn parse(mut argv: cli::Args) -> Result<Args, String> {
     let mut args = Args {
         threads: std::thread::available_parallelism().map_or(1, usize::from),
         prefill: 50_000,
@@ -51,46 +57,21 @@ fn parse_args() -> Result<Args, String> {
         min_speedup: 0.0,
         out: "BENCH_flat_combining.json".to_owned(),
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let take = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            argv.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("missing value after {}", argv[*i - 1]))
-        };
-        match argv[i].as_str() {
-            "--threads" => args.threads = take(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--prefill" => args.prefill = take(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--duration-ms" => {
-                args.duration_ms = take(&mut i)?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--ab-rounds" => args.ab_rounds = take(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--ab-batch" => args.ab_batch = take(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--quality-ops" => {
-                args.quality_ops = take(&mut i)?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--seed" => args.seed = take(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--min-speedup" => {
-                args.min_speedup = take(&mut i)?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--out" => args.out = take(&mut i)?,
-            other => return Err(format!("unknown flag '{other}'")),
+    while let Some(flag) = argv.next_flag() {
+        match flag.as_str() {
+            "--threads" => args.threads = argv.positive()?,
+            "--prefill" => args.prefill = argv.value()?,
+            "--duration-ms" => args.duration_ms = argv.value()?,
+            "--ab-rounds" => args.ab_rounds = argv.positive()?,
+            "--ab-batch" => args.ab_batch = argv.value()?,
+            "--quality-ops" => args.quality_ops = argv.value()?,
+            "--seed" => args.seed = argv.value()?,
+            "--min-speedup" => args.min_speedup = argv.value()?,
+            "--out" => args.out = argv.string()?,
+            _ => return argv.unknown(),
         }
-        i += 1;
-    }
-    if args.threads == 0 {
-        return Err("--threads must be >= 1".into());
-    }
-    if args.ab_rounds == 0 {
-        return Err("--ab-rounds must be >= 1".into());
     }
     Ok(args)
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn base_cfg(args: &Args) -> BenchConfig {
@@ -154,13 +135,7 @@ struct Cell {
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("batch_ablation: {e}");
-            std::process::exit(2);
-        }
-    };
+    let args = cli::parse_or_exit(USAGE, parse);
 
     // --- Part one: interleaved A/B of fc vs the plain locked queue ---
     // The fc arm runs with its insert batching on (`--ab-batch`, 1 to
@@ -178,15 +153,11 @@ fn main() {
         let ratios = ab_pair(fc, plain, &args);
         let g = geomean(&ratios);
         ab_json.push(format!(
-            "    {{\"fc\": \"{}\", \"plain\": \"{}\", \"rounds\": [{}], \"geomean\": {:.4}}}",
+            "    {{\"fc\": \"{}\", \"plain\": \"{}\", \"rounds\": {}, \"geomean\": {}}}",
             json_escape(&fc.name()),
             json_escape(&plain.name()),
-            ratios
-                .iter()
-                .map(|r| format!("{r:.4}"))
-                .collect::<Vec<_>>()
-                .join(", "),
-            g,
+            json_f64_array(&ratios),
+            json_f64(g),
         ));
         all_ratios.extend(ratios);
     }
@@ -235,14 +206,14 @@ fn main() {
         .map(|c| {
             format!(
                 "    {{\"family\": \"{}\", \"batch\": {}, \"queue\": \"{}\", \
-                 \"mops\": {:.4}, \"ops_per_sec_ci95\": {:.1}, \
-                 \"rank_mean\": {:.3}, \"rank_max\": {}}}",
+                 \"mops\": {}, \"ops_per_sec_ci95\": {}, \
+                 \"rank_mean\": {}, \"rank_max\": {}}}",
                 c.family,
                 c.batch,
                 json_escape(&c.throughput.queue),
-                c.throughput.mops(),
-                c.throughput.summary.ci95,
-                c.rank_mean,
+                json_f64(c.throughput.mops()),
+                json_f64(c.throughput.summary.ci95),
+                json_f64(c.rank_mean),
                 c.rank_max,
             )
         })
@@ -252,7 +223,7 @@ fn main() {
     let json = format!(
         "{{\n  \"meta\": {},\n  \"threads\": {},\n  \"prefill\": {},\n  \"duration_ms\": {},\n  \
          \"ab_rounds\": {},\n  \"ab_batch\": {},\n  \"quality_ops\": {},\n  \"seed\": {},\n  \
-         \"ab_pairs\": [\n{}\n  ],\n  \"ab_geomean_speedup\": {:.4},\n  \
+         \"ab_pairs\": [\n{}\n  ],\n  \"ab_geomean_speedup\": {},\n  \
          \"frontier\": [\n{cell_json}\n  ]\n}}\n",
         pq_bench::run_metadata_json(args.threads),
         args.threads,
@@ -263,7 +234,7 @@ fn main() {
         args.quality_ops,
         args.seed,
         ab_json.join(",\n"),
-        ab_geomean,
+        json_f64(ab_geomean),
     );
     if let Err(e) = std::fs::write(&args.out, &json) {
         eprintln!("batch_ablation: cannot write {}: {e}", args.out);

@@ -21,6 +21,7 @@
 
 use checker::{run_and_check, BoundViolator, CheckConfig, CheckReport, ItemDropper, ItemDuplicator};
 use harness::{with_queue, QueueSpec};
+use pq_bench::cli;
 use pq_bench::metrics::{events_since, MetricsReport};
 use pq_traits::chaos::{self, ChaosConfig};
 use pq_traits::seed::handle_seed;
@@ -39,7 +40,11 @@ struct Args {
     metrics: Option<String>,
 }
 
-fn parse_args() -> Result<Args, String> {
+const USAGE: &str = "usage: checker_stress [--threads N] [--prefill N] [--ops N] [--seed N] \
+                     [--chaos-seed N] [--no-chaos] [--mutation-test] [--queue a,b]... \
+                     [--metrics out.json]";
+
+fn parse(mut argv: cli::Args) -> Result<Args, String> {
     let mut args = Args {
         threads: 3,
         prefill: 384,
@@ -51,38 +56,19 @@ fn parse_args() -> Result<Args, String> {
         queues: Vec::new(),
         metrics: None,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let take = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            argv.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("missing value after {}", argv[*i - 1]))
-        };
-        match argv[i].as_str() {
-            "--threads" => args.threads = take(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--prefill" => args.prefill = take(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--ops" => args.ops = take(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--seed" => args.seed = take(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--chaos-seed" => {
-                args.chaos_seed = take(&mut i)?.parse().map_err(|e| format!("{e}"))?
-            }
+    while let Some(flag) = argv.next_flag() {
+        match flag.as_str() {
+            "--threads" => args.threads = argv.positive()?,
+            "--prefill" => args.prefill = argv.value()?,
+            "--ops" => args.ops = argv.value()?,
+            "--seed" => args.seed = argv.value()?,
+            "--chaos-seed" => args.chaos_seed = argv.value()?,
             "--no-chaos" => args.no_chaos = true,
             "--mutation-test" => args.mutation_test = true,
-            "--queue" => {
-                let name = take(&mut i)?;
-                args.queues.push(
-                    QueueSpec::parse(&name).ok_or_else(|| format!("unknown queue '{name}'"))?,
-                );
-            }
-            "--metrics" => args.metrics = Some(take(&mut i)?),
-            other => return Err(format!("unknown flag '{other}'")),
+            "--queue" => args.queues.extend(argv.queues()?),
+            "--metrics" => args.metrics = Some(argv.string()?),
+            _ => return argv.unknown(),
         }
-        i += 1;
-    }
-    if args.threads == 0 {
-        return Err("--threads must be >= 1".into());
     }
     Ok(args)
 }
@@ -241,13 +227,7 @@ fn run_mutation_tests(args: &Args, failures: &mut u64, injected: &mut u64, metri
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("checker_stress: {e}");
-            std::process::exit(2);
-        }
-    };
+    let args = cli::parse_or_exit(USAGE, parse);
     let specs = if args.queues.is_empty() {
         QueueSpec::registry()
     } else {

@@ -12,262 +12,80 @@
 
 use std::time::Duration;
 
-use harness::{experiments, run_latency, run_throughput, QueueSpec, ThroughputResult};
-use pq_bench::{
-    events_since, format_throughput_table, render_chart, render_csv, MetricsReport, Series,
-    TraceFile,
-};
-use pq_traits::{telemetry, trace};
+use harness::{run_latency, run_throughput, QueueSpec, ThroughputResult};
+use pq_bench::cli::{run_grid, GridArgs};
+use pq_bench::{format_throughput_table, render_chart, render_csv, MetricsReport, Series};
 use workloads::config::StopCondition;
 use workloads::BenchConfig;
 
-struct Args {
-    experiments: Vec<experiments::Experiment>,
-    threads: Vec<usize>,
-    queues: Vec<QueueSpec>,
-    prefill: usize,
-    duration_ms: u64,
-    reps: usize,
-    seed: u64,
-    chart: bool,
-    csv: bool,
-    metrics: Option<String>,
-    trace: Option<String>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut experiments_sel: Option<Vec<experiments::Experiment>> = None;
-    let mut threads = vec![1, 2, 4, 8];
-    let mut queues = QueueSpec::paper_set();
-    let mut prefill = 100_000usize;
-    let mut duration_ms = 150u64;
-    let mut reps = 3usize;
-    let mut seed = 0x5EEDu64;
-    let mut chart = false;
-    let mut csv = false;
-    let mut metrics: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let take = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            argv.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("missing value after {}", argv[*i - 1]))
-        };
-        match argv[i].as_str() {
-            "--experiment" => {
-                let id = take(&mut i)?;
-                let e = experiments::by_id(&id).ok_or(format!("unknown experiment '{id}'"))?;
-                experiments_sel.get_or_insert_with(Vec::new).push(e);
-            }
-            "--all" => experiments_sel = Some(experiments::all()),
-            "--threads" => {
-                threads = take(&mut i)?
-                    .split(',')
-                    .map(|s| s.trim().parse().map_err(|_| format!("bad thread count '{s}'")))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--queues" => {
-                queues = take(&mut i)?
-                    .split(',')
-                    .map(|s| QueueSpec::parse(s.trim()).ok_or(format!("unknown queue '{s}'")))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--prefill" => prefill = take(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--duration-ms" => duration_ms = take(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--reps" => reps = take(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--seed" => seed = take(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--chart" => chart = true,
-            "--csv" => csv = true,
-            "--metrics" => metrics = Some(take(&mut i)?),
-            "--trace" => trace_path = Some(take(&mut i)?),
-            // Thread grids of the paper's four machines (physical cores,
-            // then into hyperthreading where the machine has it).
-            "--machine" => {
-                threads = match take(&mut i)?.as_str() {
-                    "mars" => vec![1, 2, 4, 8, 16],           // 8 cores, 2-way HT
-                    "saturn" => vec![1, 2, 4, 8, 16, 32, 48], // 48 cores, no HT
-                    "ceres" => vec![1, 2, 4, 8, 16, 32, 64, 128], // 64 cores, 8-way HT
-                    "pluto" => vec![1, 2, 4, 8, 16, 32, 61, 122], // 61 cores, 4-way HT
-                    other => return Err(format!("unknown machine '{other}'")),
-                };
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: figures [--experiment <id>]... [--all] [--threads 1,2,4,8] \
-                     [--queues klsm128,linden,...] [--prefill N] [--duration-ms N] \
-                     [--reps N] [--seed N] [--chart] [--csv] [--metrics out.json] \
-                     [--trace out.trace.json]\n\
-                     experiments: {}",
-                    experiments::all()
-                        .iter()
-                        .map(|e| e.id)
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument '{other}'")),
-        }
-        i += 1;
-    }
-    if trace_path.is_some() && !trace::compiled() {
-        return Err("--trace requires building with --features trace".to_owned());
-    }
-    Ok(Args {
-        experiments: experiments_sel.unwrap_or_else(|| vec![experiments::by_id("fig4a").unwrap()]),
-        threads,
-        queues,
-        prefill,
-        duration_ms,
-        reps,
-        seed,
-        chart,
-        csv,
-        metrics,
-        trace: trace_path,
-    })
-}
-
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
+    let defaults = GridArgs {
+        reps: 3,
+        ..GridArgs::new(
+            "fig4a",
+            &[1, 2, 4, 8],
+            StopCondition::Duration(Duration::from_millis(150)),
+        )
     };
-    let mut report = args.metrics.as_ref().map(|_| MetricsReport::new("figures"));
-    let mut tracefile = args.trace.as_ref().map(|_| TraceFile::new());
-    for exp in &args.experiments {
-        let mut rows: Vec<Vec<ThroughputResult>> = Vec::new();
-        for &spec in &args.queues {
-            let mut row = Vec::new();
-            for &t in &args.threads {
-                let cfg = BenchConfig {
-                    threads: t,
-                    workload: exp.workload,
-                    key_dist: exp.key_dist,
-                    prefill: args.prefill,
-                    stop: StopCondition::Duration(Duration::from_millis(args.duration_ms)),
-                    reps: args.reps,
-                    seed: args.seed,
-                };
-                let before = telemetry::snapshot();
-                if tracefile.is_some() {
-                    trace::start(trace::DEFAULT_CAPACITY);
-                }
-                let r = run_throughput(spec, &cfg);
-                if let Some(tf) = tracefile.as_mut() {
-                    tf.push_cell(&format!("{} {} t{t}", exp.id, r.queue), t, trace::stop());
-                }
-                eprintln!(
-                    "  [{}] {} @ {} threads: {:.3} MOps/s",
-                    exp.id,
-                    r.queue,
-                    t,
-                    r.mops()
-                );
-                if let Some(w) = r.steady_state_warning() {
-                    eprintln!("  warning: {w}");
-                }
-                if let Some(report) = report.as_mut() {
-                    report.push_throughput_cell(exp.id, &r, &events_since(&before));
-                }
-                row.push(r);
-            }
-            rows.push(row);
+    let args = defaults.from_env("figures");
+    let cell = |exp: &harness::Experiment, spec: QueueSpec, cfg: &BenchConfig| {
+        let r = run_throughput(spec, cfg);
+        eprintln!(
+            "  [{}] {} @ {} threads: {:.3} MOps/s",
+            exp.id,
+            r.queue,
+            cfg.threads,
+            r.mops()
+        );
+        if let Some(w) = r.steady_state_warning() {
+            eprintln!("  warning: {w}");
         }
+        r
+    };
+    let push = MetricsReport::push_throughput_cell;
+    run_grid("figures", &args, push, cell, |grid, exp, rows| {
         // With --metrics, also profile per-op latency for each queue at
         // the largest thread count so one invocation yields counters,
         // time series and latency histograms in a single document.
-        if let Some(report) = report.as_mut() {
+        if args.metrics.is_some() {
             let t = args.threads.iter().copied().max().unwrap_or(1);
             for &spec in &args.queues {
                 let cfg = BenchConfig {
-                    threads: t,
-                    workload: exp.workload,
-                    key_dist: exp.key_dist,
-                    prefill: args.prefill,
                     stop: StopCondition::OpsPerThread(10_000),
                     reps: 1,
-                    seed: args.seed,
+                    ..args.config(exp, t)
                 };
-                let before = telemetry::snapshot();
-                if tracefile.is_some() {
-                    trace::start(trace::DEFAULT_CAPACITY);
-                }
-                let r = run_latency(spec, &cfg);
-                if let Some(tf) = tracefile.as_mut() {
-                    tf.push_cell(
-                        &format!("{} {} latency t{t}", exp.id, r.queue),
-                        t,
-                        trace::stop(),
-                    );
-                }
+                let (label, push) = (format!("{spec} latency"), MetricsReport::push_latency_cell);
+                let r = grid.cell(exp, &label, t, push, || run_latency(spec, &cfg));
                 eprintln!(
                     "  [{}] {} latency @ {} threads: insert p50 {}ns, delete p50 {}ns",
                     exp.id, r.queue, t, r.insert.p50, r.delete.p50
                 );
-                report.push_latency_cell(exp.id, &r, &events_since(&before));
             }
         }
-        let title = format!(
-            "{} — {} workload, {} keys ({})",
-            exp.id,
-            exp.workload.name(),
-            exp.key_dist.name(),
-            exp.artifacts
-        );
+        let title = format!("{} — {}", exp.id, exp.describe());
+        let names = args.queues.iter().map(QueueSpec::name);
         if args.csv {
-            let series: Vec<(String, Vec<(f64, f64)>)> = rows
-                .iter()
-                .map(|row| {
-                    (
-                        row.first().map(|r| r.queue.clone()).unwrap_or_default(),
-                        row.iter()
-                            .map(|r| (r.mops(), r.summary.ci95 / 1e6))
-                            .collect(),
-                    )
+            let series: Vec<(String, Vec<(f64, f64)>)> = names
+                .zip(rows)
+                .map(|(name, row)| {
+                    let points = row.iter().map(|r| (r.mops(), r.summary.ci95 / 1e6));
+                    (name, points.collect())
                 })
                 .collect();
             print!("{}", render_csv(exp.id, &args.threads, &series));
-            continue;
+            return;
         }
-        println!("\n{}", format_throughput_table(&title, &args.threads, &rows));
+        println!("\n{}", format_throughput_table(&title, &args.threads, rows));
         if args.chart {
-            let series: Vec<Series> = rows
-                .iter()
-                .map(|row| Series {
-                    name: row.first().map(|r| r.queue.clone()).unwrap_or_default(),
+            let series: Vec<Series> = names
+                .zip(rows)
+                .map(|(name, row)| Series {
+                    name,
                     ys: row.iter().map(ThroughputResult::mops).collect(),
                 })
                 .collect();
             println!("{}", render_chart(&title, &args.threads, &series, 16));
         }
-    }
-    if let (Some(path), Some(report)) = (&args.metrics, &report) {
-        if let Err(e) = report.write(path) {
-            eprintln!("figures: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!(
-            "wrote {path} ({} cells, telemetry {})",
-            report.len(),
-            if telemetry::enabled() { "on" } else { "off" }
-        );
-    }
-    if let (Some(path), Some(tf)) = (&args.trace, &tracefile) {
-        if let Err(e) = tf.write(path) {
-            eprintln!("figures: cannot write trace {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!(
-            "wrote trace {path} (dropped records: {})",
-            tf.dropped_total()
-        );
-    }
+    });
 }

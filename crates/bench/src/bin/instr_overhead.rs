@@ -22,6 +22,7 @@
 use std::time::Duration;
 
 use harness::{experiments, run_throughput_with};
+use pq_bench::cli;
 use pq_traits::{trace, Instrumented};
 use workloads::config::StopCondition;
 use workloads::BenchConfig;
@@ -38,7 +39,10 @@ struct Args {
     max_trace_overhead_pct: f64,
 }
 
-fn parse_args() -> Result<Args, String> {
+const USAGE: &str = "usage: instr_overhead [--threads N] [--prefill N] [--duration-ms N] \
+                     [--reps N] [--seed N] [--max-overhead-pct F] [--max-trace-overhead-pct F]";
+
+fn parse(mut argv: cli::Args) -> Result<Args, String> {
     let mut args = Args {
         threads: 4,
         prefill: 100_000,
@@ -48,54 +52,23 @@ fn parse_args() -> Result<Args, String> {
         max_overhead_pct: 5.0,
         max_trace_overhead_pct: 5.0,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let take = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            argv.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("missing value after {}", argv[*i - 1]))
-        };
-        match argv[i].as_str() {
-            "--threads" => args.threads = take(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--prefill" => args.prefill = take(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--duration-ms" => {
-                args.duration_ms = take(&mut i)?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--reps" => args.reps = take(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--seed" => args.seed = take(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--max-overhead-pct" => {
-                args.max_overhead_pct = take(&mut i)?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--max-trace-overhead-pct" => {
-                args.max_trace_overhead_pct = take(&mut i)?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: instr_overhead [--threads N] [--prefill N] [--duration-ms N] \
-                     [--reps N] [--seed N] [--max-overhead-pct F] [--max-trace-overhead-pct F]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument '{other}'")),
+    while let Some(flag) = argv.next_flag() {
+        match flag.as_str() {
+            "--threads" => args.threads = argv.positive()?,
+            "--prefill" => args.prefill = argv.value()?,
+            "--duration-ms" => args.duration_ms = argv.value()?,
+            "--reps" => args.reps = argv.value()?,
+            "--seed" => args.seed = argv.value()?,
+            "--max-overhead-pct" => args.max_overhead_pct = argv.value()?,
+            "--max-trace-overhead-pct" => args.max_trace_overhead_pct = argv.value()?,
+            _ => return argv.unknown(),
         }
-        i += 1;
-    }
-    if args.threads == 0 {
-        return Err("--threads must be >= 1".into());
     }
     Ok(args)
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("instr_overhead: {e}");
-            std::process::exit(2);
-        }
-    };
+    let args = cli::parse_or_exit(USAGE, parse);
     let exp = experiments::by_id("fig4a").expect("uniform experiment registered");
     let cfg = BenchConfig {
         threads: args.threads,
@@ -123,11 +96,10 @@ fn main() {
     );
     eprintln!("  {:.3} MOps/s", wrapped.mops());
 
-    let overhead_pct = if plain.summary.mean > 0.0 {
-        (plain.summary.mean - wrapped.summary.mean) / plain.summary.mean * 100.0
-    } else {
-        0.0
-    };
+    // How much slower than plain an arm ran, in percent of plain.
+    let base = plain.summary.mean;
+    let overhead = |arm: f64| if base > 0.0 { (base - arm) / base * 100.0 } else { 0.0 };
+    let overhead_pct = overhead(wrapped.summary.mean);
     println!(
         "plain {:.3} MOps/s ({subqueues} sub-queues), instrumented {:.3} MOps/s, \
          overhead {overhead_pct:.2}% (limit {:.2}%)",
@@ -163,11 +135,7 @@ fn main() {
             data.records_total(),
             data.dropped_total(),
         );
-        let trace_overhead_pct = if plain.summary.mean > 0.0 {
-            (plain.summary.mean - traced.summary.mean) / plain.summary.mean * 100.0
-        } else {
-            0.0
-        };
+        let trace_overhead_pct = overhead(traced.summary.mean);
         println!(
             "traced {:.3} MOps/s, trace overhead {trace_overhead_pct:.2}% (limit {:.2}%)",
             traced.mops(),

@@ -6,132 +6,21 @@
 //! cargo run -p pq-bench --release --bin latency -- --threads 4
 //! ```
 
-use harness::{experiments, run_latency, QueueSpec};
-use pq_bench::{events_since, MetricsReport, TraceFile};
-use pq_traits::{telemetry, trace};
+use harness::{run_latency, Experiment, QueueSpec};
+use pq_bench::cli::{run_grid, GridArgs};
+use pq_bench::{format_latency_table, MetricsReport};
 use workloads::config::StopCondition;
 use workloads::BenchConfig;
 
 fn main() {
-    let mut threads = 2usize;
-    let mut ops_per_thread = 20_000u64;
-    let mut prefill = 100_000usize;
-    let mut exp_id = "fig4a".to_owned();
-    let mut queues = QueueSpec::paper_set();
-    let mut metrics: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let take = |i: &mut usize| -> String {
-            *i += 1;
-            argv.get(*i).cloned().unwrap_or_else(|| {
-                eprintln!("missing value after {}", argv[*i - 1]);
-                std::process::exit(2);
-            })
-        };
-        match argv[i].as_str() {
-            "--threads" => threads = take(&mut i).parse().expect("thread count"),
-            "--ops-per-thread" => ops_per_thread = take(&mut i).parse().expect("op count"),
-            "--prefill" => prefill = take(&mut i).parse().expect("prefill"),
-            "--experiment" => exp_id = take(&mut i),
-            "--queues" => {
-                queues = take(&mut i)
-                    .split(',')
-                    .map(|s| QueueSpec::parse(s.trim()).expect("queue name"))
-                    .collect();
-            }
-            "--metrics" => metrics = Some(take(&mut i)),
-            "--trace" => trace_path = Some(take(&mut i)),
-            "--help" | "-h" => {
-                println!(
-                    "usage: latency [--threads N] [--ops-per-thread N] [--prefill N] \
-                     [--experiment <id>] [--queues a,b,c] [--metrics out.json] \
-                     [--trace out.trace.json]"
-                );
-                return;
-            }
-            other => {
-                eprintln!("unknown argument '{other}'");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    if trace_path.is_some() && !trace::compiled() {
-        eprintln!("error: --trace requires building with --features trace");
-        std::process::exit(2);
-    }
-
-    let exp = experiments::by_id(&exp_id).expect("known experiment");
-    println!(
-        "# per-op latency [ns] — {} workload, {} keys, {} threads, {} ops/thread\n",
-        exp.workload.name(),
-        exp.key_dist.name(),
-        threads,
-        ops_per_thread
-    );
-    println!(
-        "{:<12} {:>10} {:>10} {:>10} {:>12} | {:>10} {:>10} {:>10} {:>12}",
-        "queue", "ins p50", "ins p90", "ins p99", "ins max", "del p50", "del p90", "del p99",
-        "del max"
-    );
-    let mut report = metrics.as_ref().map(|_| MetricsReport::new("latency"));
-    let mut tracefile = trace_path.as_ref().map(|_| TraceFile::new());
-    for spec in queues {
-        let cfg = BenchConfig {
-            threads,
-            workload: exp.workload,
-            key_dist: exp.key_dist,
-            prefill,
-            stop: StopCondition::OpsPerThread(ops_per_thread),
-            reps: 1,
-            seed: 0x1A7,
-        };
-        let before = telemetry::snapshot();
-        if tracefile.is_some() {
-            trace::start(trace::DEFAULT_CAPACITY);
-        }
-        let r = run_latency(spec, &cfg);
-        if let Some(tf) = tracefile.as_mut() {
-            tf.push_cell(&format!("{exp_id} {} t{threads}", r.queue), threads, trace::stop());
-        }
-        if let Some(report) = report.as_mut() {
-            report.push_latency_cell(&exp_id, &r, &events_since(&before));
-        }
-        println!(
-            "{:<12} {:>10} {:>10} {:>10} {:>12} | {:>10} {:>10} {:>10} {:>12}",
-            r.queue,
-            r.insert.p50,
-            r.insert.p90,
-            r.insert.p99,
-            r.insert.max,
-            r.delete.p50,
-            r.delete.p90,
-            r.delete.p99,
-            r.delete.max
-        );
-    }
-    if let (Some(path), Some(report)) = (&metrics, &report) {
-        if let Err(e) = report.write(path) {
-            eprintln!("latency: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!(
-            "wrote {path} ({} cells, telemetry {})",
-            report.len(),
-            if telemetry::enabled() { "on" } else { "off" }
-        );
-    }
-    if let (Some(path), Some(tf)) = (&trace_path, &tracefile) {
-        if let Err(e) = tf.write(path) {
-            eprintln!("latency: cannot write trace {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!(
-            "wrote trace {path} (dropped records: {})",
-            tf.dropped_total()
-        );
-    }
+    let defaults = GridArgs {
+        seed: 0x1A7,
+        ..GridArgs::new("fig4a", &[2], StopCondition::OpsPerThread(20_000))
+    };
+    let args = defaults.from_env("latency");
+    let cell = |_: &Experiment, spec: QueueSpec, cfg: &BenchConfig| run_latency(spec, cfg);
+    let push = MetricsReport::push_latency_cell;
+    run_grid("latency", &args, push, cell, |_, exp, rows| {
+        println!("{}", format_latency_table(exp, &args.threads, rows));
+    });
 }

@@ -5,177 +5,40 @@
 //! cargo run -p pq-bench --release --bin quality -- --all
 //! ```
 
-use harness::{experiments, run_quality, QualityResult, QueueSpec};
-use pq_bench::{events_since, format_quality_table, MetricsReport, TraceFile};
-use pq_traits::{telemetry, trace};
+use harness::{run_quality, Experiment, QueueSpec};
+use pq_bench::cli::{run_grid, GridArgs};
+use pq_bench::{format_quality_table, MetricsReport};
 use workloads::config::StopCondition;
 use workloads::BenchConfig;
 
-struct Args {
-    experiments: Vec<experiments::Experiment>,
-    threads: Vec<usize>,
-    queues: Vec<QueueSpec>,
-    prefill: usize,
-    ops_per_thread: u64,
-    seed: u64,
-    metrics: Option<String>,
-    trace: Option<String>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut experiments_sel: Option<Vec<experiments::Experiment>> = None;
-    // The paper's tables report 2, 4 and 8 threads.
-    let mut threads = vec![2, 4, 8];
-    let mut queues = QueueSpec::quality_set();
-    let mut prefill = 100_000usize;
-    let mut ops_per_thread = 20_000u64;
-    let mut seed = 0x5EEDu64;
-    let mut metrics: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let take = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            argv.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("missing value after {}", argv[*i - 1]))
-        };
-        match argv[i].as_str() {
-            "--experiment" => {
-                let id = take(&mut i)?;
-                let e = experiments::by_id(&id).ok_or(format!("unknown experiment '{id}'"))?;
-                experiments_sel.get_or_insert_with(Vec::new).push(e);
-            }
-            "--all" => experiments_sel = Some(experiments::all()),
-            "--threads" => {
-                threads = take(&mut i)?
-                    .split(',')
-                    .map(|s| s.trim().parse().map_err(|_| format!("bad thread count '{s}'")))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--queues" => {
-                queues = take(&mut i)?
-                    .split(',')
-                    .map(|s| QueueSpec::parse(s.trim()).ok_or(format!("unknown queue '{s}'")))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--prefill" => prefill = take(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--ops-per-thread" => {
-                ops_per_thread = take(&mut i)?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--seed" => seed = take(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--metrics" => metrics = Some(take(&mut i)?),
-            "--trace" => trace_path = Some(take(&mut i)?),
-            "--help" | "-h" => {
-                println!(
-                    "usage: quality [--experiment <id>]... [--all] [--threads 2,4,8] \
-                     [--queues klsm128,...] [--prefill N] [--ops-per-thread N] [--seed N] \
-                     [--metrics out.json] [--trace out.trace.json]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument '{other}'")),
-        }
-        i += 1;
-    }
-    if trace_path.is_some() && !trace::compiled() {
-        return Err("--trace requires building with --features trace".to_owned());
-    }
-    Ok(Args {
-        experiments: experiments_sel
-            .unwrap_or_else(|| vec![experiments::by_id("table2a").unwrap()]),
-        threads,
-        queues,
-        prefill,
-        ops_per_thread,
-        seed,
-        metrics,
-        trace: trace_path,
-    })
-}
-
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
+    let defaults = GridArgs {
+        queues: QueueSpec::quality_set(),
+        // The paper's tables report 2, 4 and 8 threads.
+        ..GridArgs::new("table2a", &[2, 4, 8], StopCondition::OpsPerThread(20_000))
     };
-    let mut report = args.metrics.as_ref().map(|_| MetricsReport::new("quality"));
-    let mut tracefile = args.trace.as_ref().map(|_| TraceFile::new());
-    for exp in &args.experiments {
-        let mut rows: Vec<Vec<QualityResult>> = Vec::new();
-        for &spec in &args.queues {
-            let mut row = Vec::new();
-            for &t in &args.threads {
-                let cfg = BenchConfig {
-                    threads: t,
-                    workload: exp.workload,
-                    key_dist: exp.key_dist,
-                    prefill: args.prefill,
-                    stop: StopCondition::OpsPerThread(args.ops_per_thread),
-                    reps: 1,
-                    seed: args.seed,
-                };
-                let before = telemetry::snapshot();
-                if tracefile.is_some() {
-                    trace::start(trace::DEFAULT_CAPACITY);
-                }
-                let r = run_quality(spec, &cfg);
-                if let Some(tf) = tracefile.as_mut() {
-                    tf.push_cell(&format!("{} {} t{t}", exp.id, r.queue), t, trace::stop());
-                }
-                if let Some(report) = report.as_mut() {
-                    report.push_quality_cell(exp.id, &r, &events_since(&before));
-                }
-                eprintln!(
-                    "  [{}] {} @ {} threads: mean rank {:.1} (sd {:.1}, p50 {}, p99 {}, max {}), \
-                     mean delay {:.1}, n={}",
-                    exp.id,
-                    r.queue,
-                    t,
-                    r.rank.mean,
-                    r.rank.sd,
-                    r.p50,
-                    r.p99,
-                    r.max,
-                    r.delay.mean,
-                    r.deletions
-                );
-                row.push(r);
-            }
-            rows.push(row);
-        }
-        let title = format!(
-            "rank error — {} workload, {} keys ({})",
-            exp.workload.name(),
-            exp.key_dist.name(),
-            exp.artifacts
-        );
-        println!("\n{}", format_quality_table(&title, &args.threads, &rows));
-    }
-    if let (Some(path), Some(report)) = (&args.metrics, &report) {
-        if let Err(e) = report.write(path) {
-            eprintln!("quality: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
+    let args = defaults.from_env("quality");
+    let cell = |exp: &Experiment, spec: QueueSpec, cfg: &BenchConfig| {
+        let r = run_quality(spec, cfg);
         eprintln!(
-            "wrote {path} ({} cells, telemetry {})",
-            report.len(),
-            if telemetry::enabled() { "on" } else { "off" }
+            "  [{}] {} @ {} threads: mean rank {:.1} (sd {:.1}, p50 {}, p99 {}, max {}), \
+             mean delay {:.1}, n={}",
+            exp.id,
+            r.queue,
+            cfg.threads,
+            r.rank.mean,
+            r.rank.sd,
+            r.p50,
+            r.p99,
+            r.max,
+            r.delay.mean,
+            r.deletions
         );
-    }
-    if let (Some(path), Some(tf)) = (&args.trace, &tracefile) {
-        if let Err(e) = tf.write(path) {
-            eprintln!("quality: cannot write trace {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!(
-            "wrote trace {path} (dropped records: {})",
-            tf.dropped_total()
-        );
-    }
+        r
+    };
+    let push = MetricsReport::push_quality_cell;
+    run_grid("quality", &args, push, cell, |_, exp, rows| {
+        let title = format!("rank error — {}", exp.describe());
+        println!("\n{}", format_quality_table(&title, &args.threads, rows));
+    });
 }

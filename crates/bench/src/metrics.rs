@@ -83,7 +83,7 @@ fn detected_cpu_features() -> Vec<&'static str> {
 }
 
 /// Escape a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -101,12 +101,18 @@ fn json_escape(s: &str) -> String {
 
 /// Render an `f64` as a JSON value; non-finite values become `null`
 /// (JSON has no Infinity/NaN).
-fn json_f64(v: f64) -> String {
+pub fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v:.6}")
     } else {
         "null".to_owned()
     }
+}
+
+/// Render a slice of `f64` as a JSON array of [`json_f64`] values.
+pub fn json_f64_array(xs: &[f64]) -> String {
+    let body = xs.iter().map(|&v| json_f64(v)).collect::<Vec<_>>().join(", ");
+    format!("[{body}]")
 }
 
 fn json_u64_array(xs: &[u64]) -> String {
@@ -199,12 +205,7 @@ impl MetricsReport {
         if let Some(w) = r.steady_state_warning() {
             self.push_warning(&w);
         }
-        let per_rep = r
-            .per_rep_ops_per_sec
-            .iter()
-            .map(|&v| json_f64(v))
-            .collect::<Vec<_>>()
-            .join(", ");
+        let per_rep = json_f64_array(&r.per_rep_ops_per_sec);
         let ticks = r
             .per_rep_ticks
             .iter()
@@ -215,7 +216,7 @@ impl MetricsReport {
         self.cells.push(format!(
             "{{\"kind\": \"throughput\", \"experiment\": \"{}\", \"queue\": \"{}\", \
              \"threads\": {}, \"ops_per_sec_mean\": {}, \"ops_per_sec_ci95\": {}, \
-             \"mops_mean\": {}, \"per_rep_ops_per_sec\": [{per_rep}], \
+             \"mops_mean\": {}, \"per_rep_ops_per_sec\": {per_rep}, \
              \"fairness_mean\": {}, \"tick_ms\": {}, \"ticks_per_rep\": [{ticks}], \
              \"drift_ratio\": {drift}, \"events\": {}}}",
             json_escape(experiment),

@@ -14,15 +14,8 @@
 use std::sync::Barrier;
 
 use pq_traits::{ConcurrentPq, OpRecord, PqHandle, Recorded};
+use workloads::config::{prefill_items, PREFILL_TAG, VALUE_SHIFT};
 use workloads::{KeyDistribution, KeyGen, OpKind, OpStream, ThreadRole, Workload};
-
-/// Bits reserved for the per-insert counter in a value; the thread id
-/// lives above. Same convention as the harness, so checker values are
-/// unique process-wide and self-describing in a debugger.
-pub const VALUE_SHIFT: u32 = 40;
-
-/// Thread-id tag marking prefill values.
-pub const PREFILL_TAG: u64 = 0xFF << VALUE_SHIFT;
 
 /// One checker scenario cell: which workload to run against the queue
 /// and how much of it.
@@ -103,25 +96,18 @@ pub struct ScenarioHistory {
 /// allowance for slot-bounded queues.
 pub fn run_scenario<Q: ConcurrentPq>(queue: &Recorded<Q>, cfg: &CheckConfig) -> ScenarioHistory {
     let threads = cfg.threads.max(1);
-    // KeyGen with the harness's prefill convention: one dedicated
-    // stream, thread id u64::MAX, seed offset 0xF00D.
-    let prefill_items: Vec<(u64, u64)> = {
-        let mut gen = KeyGen::new(cfg.key_dist, cfg.seed ^ 0xF00D, u64::MAX);
-        (0..cfg.prefill)
-            .map(|i| (gen.next_key(), PREFILL_TAG | i as u64))
-            .collect()
-    };
+    let prefill = prefill_items(cfg.key_dist, cfg.seed, cfg.prefill, PREFILL_TAG);
     let barrier = Barrier::new(threads + 1);
     let drain_start = std::thread::scope(|s| {
         for t in 0..threads {
             let barrier = &barrier;
-            let prefill = &prefill_items;
+            let prefill = &prefill;
             s.spawn(move || {
                 let mut h = queue.handle();
                 // Deterministic prefill split: thread t takes every
                 // threads-th item starting at t.
-                for (key, value) in prefill.iter().skip(t).step_by(threads) {
-                    h.insert(*key, *value);
+                for it in prefill.iter().skip(t).step_by(threads) {
+                    h.insert(it.key, it.value);
                 }
                 barrier.wait(); // prefill complete
                 barrier.wait(); // start mixed phase

@@ -23,6 +23,15 @@ pub struct Experiment {
     pub artifacts: &'static str,
 }
 
+impl Experiment {
+    /// The cell in words, for table titles: e.g. `"uniform workload,
+    /// uniform32 keys (Figure 1, Figure 4a, Table 1, Table 2a)"`.
+    pub fn describe(&self) -> String {
+        let (workload, keys) = (self.workload.name(), self.key_dist.name());
+        format!("{workload} workload, {keys} keys ({})", self.artifacts)
+    }
+}
+
 /// All throughput/quality cells of the paper.
 pub fn all() -> Vec<Experiment> {
     use KeyDistribution as K;

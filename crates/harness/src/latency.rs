@@ -10,17 +10,16 @@
 //! the k-LSM's cheap thread-local fast path vs. its expensive SLSM
 //! eviction slow path, or the GlobalLock's fair-but-serial tail).
 
-use std::sync::{Barrier, Mutex};
 use std::time::Instant;
 
-use pq_traits::trace::{self, PhaseKind, SpanOp};
-use pq_traits::{ConcurrentPq, PqHandle};
-use workloads::config::StopCondition;
-use workloads::{BenchConfig, KeyGen, OpKind, OpStream, ThreadRole};
+use pq_traits::trace::{self, SpanOp};
+use pq_traits::{Item, Key, PqHandle, Value};
+use workloads::config::{StopCondition, PREFILL_TAG};
+use workloads::BenchConfig;
 
 use crate::registry::QueueSpec;
 use crate::stats::Histogram;
-use crate::throughput::{PREFILL_TAG, VALUE_SHIFT};
+use crate::throughput::{run_once, Probe};
 use crate::with_queue;
 
 /// Latency percentiles in nanoseconds, extracted from a [`Histogram`]
@@ -90,7 +89,23 @@ pub fn run_latency(spec: QueueSpec, cfg: &BenchConfig) -> LatencyResult {
         StopCondition::OpsPerThread(n) => n,
         StopCondition::Duration(_) => 20_000,
     };
-    let (ins, del) = with_queue!(spec, cfg.threads, q => measure(&q, cfg, ops_per_thread));
+    let cfg = BenchConfig {
+        stop: StopCondition::OpsPerThread(ops_per_thread),
+        ..cfg.clone()
+    };
+    let prefill = cfg.prefill_items(PREFILL_TAG);
+    let new_probe = |_| TimingProbe {
+        tracing: trace::active(),
+        anchor: trace::Anchor::at(Instant::now()),
+        ins: Histogram::new(),
+        del: Histogram::new(),
+    };
+    let (_, probes) = with_queue!(spec, cfg.threads, q => run_once(&q, &cfg, 0, &prefill, new_probe));
+    let (mut ins, mut del) = (Histogram::new(), Histogram::new());
+    for p in &probes {
+        ins.merge(&p.ins);
+        del.merge(&p.del);
+    }
     LatencyResult {
         queue: spec.name(),
         threads: cfg.threads,
@@ -101,95 +116,49 @@ pub fn run_latency(spec: QueueSpec, cfg: &BenchConfig) -> LatencyResult {
     }
 }
 
-fn measure<Q: ConcurrentPq>(
-    q: &Q,
-    cfg: &BenchConfig,
-    ops_per_thread: u64,
-) -> (Histogram, Histogram) {
-    let prefill_items = cfg.prefill_items(PREFILL_TAG);
-    let threads = cfg.threads;
-    let barrier = Barrier::new(threads + 1);
-    let merged: Mutex<(Histogram, Histogram)> =
-        Mutex::new((Histogram::new(), Histogram::new()));
+/// Times every operation into per-thread histograms (successful and
+/// empty deletions alike).
+struct TimingProbe {
+    tracing: bool,
+    anchor: trace::Anchor,
+    ins: Histogram,
+    del: Histogram,
+}
 
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let chunk_lo = t * prefill_items.len() / threads;
-            let chunk_hi = (t + 1) * prefill_items.len() / threads;
-            let prefill = &prefill_items[chunk_lo..chunk_hi];
-            let barrier = &barrier;
-            let merged = &merged;
-            scope.spawn(move || {
-                let mut h = q.handle();
-                for it in prefill {
-                    h.insert(it.key, it.value);
-                }
-                let role = ThreadRole::for_thread(cfg.workload, t, threads);
-                let mut ops = OpStream::new(role, cfg.seed, t as u64);
-                let mut keys = KeyGen::new(cfg.key_dist, cfg.seed, t as u64);
-                let mut next_value = (t as u64) << VALUE_SHIFT;
-                let mut ins = Histogram::new();
-                let mut del = Histogram::new();
-                barrier.wait();
-                barrier.wait();
-                // Flight recorder: this harness already timestamps every
-                // operation, so (unlike the throughput loop) spans are
-                // recorded per op, reusing the existing clock reads plus
-                // one `elapsed` re-read per traced op.
-                let tracing = trace::active();
-                let anchor = trace::Anchor::at(Instant::now());
-                for _ in 0..ops_per_thread {
-                    match ops.next_op() {
-                        OpKind::Insert => {
-                            let key = keys.next_key();
-                            let started = Instant::now();
-                            h.insert(key, next_value);
-                            let dur = started.elapsed().as_nanos() as u64;
-                            ins.record(dur);
-                            if tracing {
-                                let begin = anchor.ns_at(started);
-                                trace::span(SpanOp::Insert, begin, begin + dur, 1);
-                            }
-                            next_value += 1;
-                        }
-                        OpKind::DeleteMin => {
-                            let started = Instant::now();
-                            let item = h.delete_min();
-                            let dur = started.elapsed().as_nanos() as u64;
-                            del.record(dur);
-                            if tracing {
-                                let begin = anchor.ns_at(started);
-                                trace::span(SpanOp::DeleteMin, begin, begin + dur, 1);
-                            }
-                            if let Some(item) = item {
-                                keys.observe_delete(item.key);
-                            }
-                        }
-                    }
-                }
-                // Commit buffered operations outside the measured ops.
-                let flush_begin = if tracing {
-                    anchor.ns_at(Instant::now())
-                } else {
-                    0
-                };
-                h.flush();
-                if tracing {
-                    trace::span(SpanOp::Flush, flush_begin, anchor.ns_at(Instant::now()), 1);
-                }
-                let mut guard = merged.lock().unwrap();
-                guard.0.merge(&ins);
-                guard.1.merge(&del);
-            });
+impl TimingProbe {
+    /// Flight recorder: this probe already timestamps every operation,
+    /// so spans are recorded per op from the clock reads it has taken,
+    /// in place of the loop's batch spans.
+    #[inline]
+    fn span(&self, op: SpanOp, started: Instant, dur: u64) {
+        if self.tracing {
+            let begin = self.anchor.ns_at(started);
+            trace::span(op, begin, begin + dur, 1);
         }
-        trace::phase(PhaseKind::Prefill, 0);
-        barrier.wait();
-        trace::phase(PhaseKind::Measure, 0);
-        barrier.wait();
-    });
-    trace::phase(PhaseKind::RepEnd, 0);
+    }
+}
 
-    merged.into_inner().unwrap()
+impl Probe for TimingProbe {
+    const BATCH_SPANS: bool = false;
+
+    #[inline]
+    fn insert<H: PqHandle>(&mut self, h: &mut H, key: Key, value: Value) {
+        let started = Instant::now();
+        h.insert(key, value);
+        let dur = started.elapsed().as_nanos() as u64;
+        self.ins.record(dur);
+        self.span(SpanOp::Insert, started, dur);
+    }
+
+    #[inline]
+    fn delete_min<H: PqHandle>(&mut self, h: &mut H) -> Option<Item> {
+        let started = Instant::now();
+        let item = h.delete_min();
+        let dur = started.elapsed().as_nanos() as u64;
+        self.del.record(dur);
+        self.span(SpanOp::DeleteMin, started, dur);
+        item
+    }
 }
 
 #[cfg(test)]
@@ -221,6 +190,18 @@ mod tests {
         // The exported histograms carry the same sample counts.
         assert_eq!(r.insert_hist.count() as usize, r.insert.n);
         assert_eq!(r.delete_hist.count() as usize, r.delete.n);
+    }
+
+    #[test]
+    fn every_measured_op_is_timed_and_prefill_is_not() {
+        // Prefill far larger than the op budget: timing it would show
+        // up as extra insert samples.
+        let mut c = cfg(2);
+        c.prefill = 20_000;
+        c.stop = StopCondition::OpsPerThread(300);
+        let r = run_latency(QueueSpec::MultiQueue(4), &c);
+        assert_eq!(r.insert.n + r.delete.n, 2 * 300);
+        assert!(r.insert.n > 0 && r.delete.n > 0);
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! * [`throughput`] — the paper's throughput benchmark: prefill, then
 //!   count insert+delete operations completed in a fixed time window,
 //!   repeated `reps` times, reporting mean and 95 % confidence interval.
+//!   Its worker loop is the only one in the crate; the next two
+//!   benchmarks are per-thread probes on it.
 //! * [`quality`] — the rank-error benchmark (appendix F): log every
 //!   operation with a linearization timestamp, reconstruct the global
 //!   sequence, replay it against an order-statistic treap and record the

@@ -17,18 +17,15 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
-use std::time::Instant;
 
-use pq_traits::trace::{self, PhaseKind, SpanOp};
-use pq_traits::{ConcurrentPq, Item, Key, PqHandle, Value};
+use pq_traits::{Item, Key, PqHandle, Value};
 use seqpq::{Fenwick, OsTreap};
-use workloads::config::StopCondition;
-use workloads::{BenchConfig, KeyGen, OpKind, OpStream, ThreadRole};
+use workloads::config::{StopCondition, PREFILL_TAG};
+use workloads::BenchConfig;
 
 use crate::registry::QueueSpec;
 use crate::stats::Summary;
-use crate::throughput::{PREFILL_TAG, VALUE_SHIFT};
+use crate::throughput::{run_once, Probe};
 use crate::with_queue;
 
 /// One logged operation.
@@ -73,7 +70,19 @@ pub fn run_quality(spec: QueueSpec, cfg: &BenchConfig) -> QualityResult {
         StopCondition::OpsPerThread(n) => n,
         StopCondition::Duration(_) => 50_000,
     };
-    let (log, prefill) = with_queue!(spec, cfg.threads, q => record_log(&q, cfg, ops_per_thread));
+    let cfg = BenchConfig {
+        stop: StopCondition::OpsPerThread(ops_per_thread),
+        ..cfg.clone()
+    };
+    let prefill = cfg.prefill_items(PREFILL_TAG);
+    let clock = AtomicU64::new(0);
+    let new_probe = |_| LogProbe {
+        clock: &clock,
+        log: Vec::with_capacity(ops_per_thread as usize),
+    };
+    let (_, probes) = with_queue!(spec, cfg.threads, q => run_once(&q, &cfg, 0, &prefill, new_probe));
+    let mut log: Vec<LogEntry> = probes.into_iter().flat_map(|p| p.log).collect();
+    log.sort_unstable_by_key(|e| e.ts);
     let (mut ranks, delays) = replay(log, prefill);
     let rank = Summary::of_u64(&ranks);
     ranks.sort_unstable();
@@ -96,105 +105,37 @@ pub fn run_quality(spec: QueueSpec, cfg: &BenchConfig) -> QualityResult {
     }
 }
 
-/// Execute the workload while logging every operation with a
-/// linearization timestamp. Returns the merged log and the prefill items.
-fn record_log<Q: ConcurrentPq>(
-    q: &Q,
-    cfg: &BenchConfig,
-    ops_per_thread: u64,
-) -> (Vec<LogEntry>, Vec<Item>) {
-    let prefill_items = cfg.prefill_items(PREFILL_TAG);
-    let threads = cfg.threads;
-    let barrier = Barrier::new(threads + 1);
-    let clock = AtomicU64::new(0);
-    let logs: Mutex<Vec<Vec<LogEntry>>> = Mutex::new(Vec::new());
+/// Logs every operation with a linearization timestamp: the cell-wide
+/// `clock` is bumped once the operation has completed. Empty deletions
+/// are not logged. The harness flushes each handle before the logs are
+/// collected: buffered inserts become visible (they are already
+/// logged), and deletion-buffered items return to the queue (they were
+/// never logged as deleted).
+struct LogProbe<'a> {
+    clock: &'a AtomicU64,
+    log: Vec<LogEntry>,
+}
 
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let chunk_lo = t * prefill_items.len() / threads;
-            let chunk_hi = (t + 1) * prefill_items.len() / threads;
-            let prefill = &prefill_items[chunk_lo..chunk_hi];
-            let barrier = &barrier;
-            let clock = &clock;
-            let logs = &logs;
-            scope.spawn(move || {
-                let mut h = q.handle();
-                for it in prefill {
-                    h.insert(it.key, it.value);
-                }
-                let role = ThreadRole::for_thread(cfg.workload, t, threads);
-                let mut ops = OpStream::new(role, cfg.seed, t as u64);
-                let mut keys = KeyGen::new(cfg.key_dist, cfg.seed, t as u64);
-                let mut next_value = (t as u64) << VALUE_SHIFT;
-                let mut log = Vec::with_capacity(ops_per_thread as usize);
-                barrier.wait();
-                barrier.wait();
-                // Flight recorder: batch-granularity spans (one clock
-                // read per 64 logged ops), only while a trace runs.
-                let tracing = trace::active();
-                let anchor = trace::Anchor::at(Instant::now());
-                let mut span_begin = anchor.base_ns();
-                let mut span_ops = 0u32;
-                for _ in 0..ops_per_thread {
-                    if tracing {
-                        span_ops += 1;
-                        if span_ops == 64 {
-                            let end = anchor.ns_at(Instant::now());
-                            trace::span(SpanOp::OpBatch, span_begin, end, span_ops);
-                            span_begin = end;
-                            span_ops = 0;
-                        }
-                    }
-                    match ops.next_op() {
-                        OpKind::Insert => {
-                            let item = Item::new(keys.next_key(), next_value);
-                            next_value += 1;
-                            h.insert(item.key, item.value);
-                            let ts = clock.fetch_add(1, Ordering::Relaxed);
-                            log.push(LogEntry {
-                                ts,
-                                item,
-                                is_insert: true,
-                            });
-                        }
-                        OpKind::DeleteMin => {
-                            if let Some(item) = h.delete_min() {
-                                let ts = clock.fetch_add(1, Ordering::Relaxed);
-                                keys.observe_delete(item.key);
-                                log.push(LogEntry {
-                                    ts,
-                                    item,
-                                    is_insert: false,
-                                });
-                            }
-                        }
-                    }
-                }
-                if tracing && span_ops > 0 {
-                    trace::span(SpanOp::OpBatch, span_begin, anchor.ns_at(Instant::now()), span_ops);
-                }
-                // Commit buffered operations before the log is sealed:
-                // buffered inserts become visible (they are already
-                // logged), and deletion-buffered items return to the
-                // queue (they were never logged as deleted).
-                let flush_begin = if tracing { anchor.ns_at(Instant::now()) } else { 0 };
-                h.flush();
-                if tracing {
-                    trace::span(SpanOp::Flush, flush_begin, anchor.ns_at(Instant::now()), 1);
-                }
-                logs.lock().unwrap().push(log);
-            });
-        }
-        trace::phase(PhaseKind::Prefill, 0);
-        barrier.wait();
-        trace::phase(PhaseKind::Measure, 0);
-        barrier.wait();
-    });
-    trace::phase(PhaseKind::RepEnd, 0);
+impl LogProbe<'_> {
+    fn push(&mut self, item: Item, is_insert: bool) {
+        let ts = self.clock.fetch_add(1, Ordering::Relaxed);
+        self.log.push(LogEntry { ts, item, is_insert });
+    }
+}
 
-    let mut merged: Vec<LogEntry> = logs.into_inner().unwrap().into_iter().flatten().collect();
-    merged.sort_unstable_by_key(|e| e.ts);
-    (merged, prefill_items)
+impl Probe for LogProbe<'_> {
+    #[inline]
+    fn insert<H: PqHandle>(&mut self, h: &mut H, key: Key, value: Value) {
+        h.insert(key, value);
+        self.push(Item::new(key, value), true);
+    }
+
+    #[inline]
+    fn delete_min<H: PqHandle>(&mut self, h: &mut H) -> Option<Item> {
+        let item = h.delete_min()?;
+        self.push(item, false);
+        Some(item)
+    }
 }
 
 /// Replay the linearized log against an order-statistic treap, recording
@@ -303,6 +244,25 @@ mod tests {
         let r = run_quality(QueueSpec::GlobalLock, &tiny_cfg(1));
         assert!(r.deletions > 0);
         assert_eq!(r.rank.mean, 0.0, "single-threaded strict queue must have rank 0");
+    }
+
+    #[test]
+    fn single_thread_klsm_matches_recorded_golden() {
+        // P = 1 is deterministic, so the whole pipeline — prefill
+        // split, op/key streams, value numbering, which ops get logged
+        // and stamped, replay — is pinned by one number. Golden values
+        // recorded at commit 6fc7b5d (before quality moved onto the
+        // shared worker loop).
+        let cfg = BenchConfig {
+            stop: StopCondition::OpsPerThread(5_000),
+            seed: 11,
+            ..tiny_cfg(1)
+        };
+        let r = run_quality(QueueSpec::Klsm(128), &cfg);
+        assert_eq!(r.rank.mean, 19.514095536413468);
+        assert_eq!(r.max, 125);
+        assert_eq!(r.deletions, 2554);
+        assert_eq!(r.delay.mean, 17.650352388410337);
     }
 
     #[test]

@@ -229,19 +229,6 @@ impl QueueSpec {
             QueueSpec::Linden,
         ]
     }
-
-    /// The stickiness/buffer ablation grid for the sticky MultiQueue:
-    /// plain `multiqueue` as baseline plus `mq-sticky` at `c = 4`,
-    /// `s ∈ {1, 8, 64}`, `m ∈ {1, 16}`.
-    pub fn mq_sticky_ablation_set() -> Vec<QueueSpec> {
-        let mut set = vec![QueueSpec::MultiQueue(4)];
-        for s in [1usize, 8, 64] {
-            for m in [1usize, 16] {
-                set.push(QueueSpec::MqSticky(4, s, m));
-            }
-        }
-        set
-    }
 }
 
 /// The `<m>` of a `-b<m>` suffix; a buffer of zero items does not exist.
@@ -404,13 +391,6 @@ mod tests {
         assert_eq!(QueueSpec::MqSticky(4, 8, 8).name(), "mq-sticky");
         assert_eq!(QueueSpec::MqSticky(4, 64, 16).name(), "mq-sticky-s64-m16");
         assert_eq!(QueueSpec::MqSticky(2, 1, 4).name(), "mq-sticky-c2-s1-m4");
-    }
-
-    #[test]
-    fn mq_sticky_ablation_set_covers_grid() {
-        let set = QueueSpec::mq_sticky_ablation_set();
-        assert_eq!(set.len(), 7); // baseline + 3 s-values × 2 m-values
-        assert_eq!(set[0], QueueSpec::MultiQueue(4));
     }
 
     #[test]

@@ -14,24 +14,17 @@
 //! last-tick drift, which [`ThroughputResult::steady_state_warning`]
 //! flags when it exceeds 2×.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use pq_traits::trace::{self, PhaseKind, SpanOp};
-use pq_traits::{ConcurrentPq, PqHandle};
-use workloads::config::StopCondition;
+use pq_traits::{ConcurrentPq, Item, Key, PqHandle, Value};
+use workloads::config::{StopCondition, PREFILL_TAG, VALUE_SHIFT};
 use workloads::{BenchConfig, KeyGen, OpKind, OpStream, ThreadRole};
 
 use crate::registry::QueueSpec;
 use crate::stats::Summary;
 use crate::with_queue;
-
-/// Value-space partitioning so every inserted value is globally unique:
-/// thread `t` uses values `t << VALUE_SHIFT ..`; the prefill uses
-/// `PREFILL_TAG`.
-pub(crate) const VALUE_SHIFT: u32 = 40;
-pub(crate) const PREFILL_TAG: u64 = 0xFF << VALUE_SHIFT;
 
 /// Sampling tick for the time-sliced throughput series: a tenth of the
 /// measurement window, clamped to [5 ms, 100 ms], so short smoke runs
@@ -159,17 +152,46 @@ impl ThroughputResult {
 }
 
 /// One repetition's raw measurements.
-struct RepOutcome {
+pub(crate) struct RepOutcome {
     ops_per_sec: f64,
     per_thread: Vec<u64>,
     ticks: Vec<u64>,
 }
 
+/// What a worker does around each measured operation: the one point
+/// where the quality and latency benchmarks differ from throughput.
+/// Both methods *perform* the operation through the worker's handle;
+/// the defaults add nothing, so the unit probe compiles to the bare
+/// calls.
+pub(crate) trait Probe: Send {
+    /// Whether the loop records an `OpBatch` span per 64-op batch. A
+    /// probe that records a span per operation itself turns this off,
+    /// so a traced cell counts every measured op in exactly one span
+    /// (the exporter's attribution sums `ops` over all span kinds).
+    const BATCH_SPANS: bool = true;
+
+    /// Insert `(key, value)` through `h`.
+    #[inline]
+    fn insert<H: PqHandle>(&mut self, h: &mut H, key: Key, value: Value) {
+        h.insert(key, value);
+    }
+
+    /// Delete through `h` and return what the queue returned.
+    #[inline]
+    fn delete_min<H: PqHandle>(&mut self, h: &mut H) -> Option<Item> {
+        h.delete_min()
+    }
+}
+
+/// The throughput benchmark observes nothing per operation.
+impl Probe for () {}
+
 /// Run the full throughput benchmark for one queue and configuration.
 pub fn run_throughput(spec: QueueSpec, cfg: &BenchConfig) -> ThroughputResult {
+    let prefill = cfg.prefill_items(PREFILL_TAG);
     let mut reps = Vec::with_capacity(cfg.reps);
     for rep in 0..cfg.reps {
-        reps.push(with_queue!(spec, cfg.threads, q => run_once(&q, cfg, rep)));
+        reps.push(with_queue!(spec, cfg.threads, q => run_once(&q, cfg, rep, &prefill, |_| ()).0));
     }
     assemble(spec.name(), cfg, reps)
 }
@@ -183,10 +205,11 @@ pub fn run_throughput_with<Q: ConcurrentPq>(
     make: impl Fn() -> Q,
     cfg: &BenchConfig,
 ) -> ThroughputResult {
+    let prefill = cfg.prefill_items(PREFILL_TAG);
     let mut reps = Vec::with_capacity(cfg.reps);
     for rep in 0..cfg.reps {
         let q = make();
-        reps.push(run_once(&q, cfg, rep));
+        reps.push(run_once(&q, cfg, rep, &prefill, |_| ()).0);
     }
     assemble(name.to_owned(), cfg, reps)
 }
@@ -228,140 +251,134 @@ fn aggregate_ticks(series: &[Vec<u64>], totals: &[u64]) -> Vec<u64> {
     out
 }
 
-/// One repetition: prefill (split across the workers), barrier, timed
-/// mixed workload. Returns operations per second over the measurement
-/// window plus per-thread operation counts and the aggregated
-/// time-sliced series.
-fn run_once<Q: ConcurrentPq>(q: &Q, cfg: &BenchConfig, rep: usize) -> RepOutcome {
+/// One repetition of every benchmark in this crate — the only function
+/// that spawns workers. Each worker inserts its chunk of `prefill`
+/// through its own handle, waits at the prefill barrier, builds its
+/// probe (`probe(thread)` — after the prefill, so prefill is never
+/// timed or logged), waits for the start signal, runs the mixed
+/// workload until `cfg.stop`, and flushes its handle outside the
+/// measured window. Returns operations per second over the window,
+/// per-thread operation counts, the aggregated time-sliced series, and
+/// the probes in thread order.
+pub(crate) fn run_once<Q: ConcurrentPq, P: Probe>(
+    q: &Q,
+    cfg: &BenchConfig,
+    rep: usize,
+    prefill: &[Item],
+    probe: impl Fn(usize) -> P + Sync,
+) -> (RepOutcome, Vec<P>) {
     let rep_seed = cfg.seed ^ (rep as u64).wrapping_mul(0xA076_1D64_78BD_642F);
-    let prefill_items = cfg.prefill_items(PREFILL_TAG);
     let threads = cfg.threads;
     let tick = tick_for(&cfg.stop);
+    // Whichever of the two the stop condition leaves open never ends
+    // the loop.
+    let (budget, window) = match cfg.stop {
+        StopCondition::OpsPerThread(n) => (n, Duration::MAX),
+        StopCondition::Duration(d) => (u64::MAX, d),
+    };
     let barrier = Barrier::new(threads + 1);
-    let total_ops = AtomicU64::new(0);
-    let elapsed_ns = AtomicU64::new(0);
-    let per_thread: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
-    let per_thread = &per_thread;
-    let tick_series: Vec<Mutex<Vec<u64>>> = (0..threads).map(|_| Mutex::new(Vec::new())).collect();
-    let tick_series = &tick_series;
+    let (barrier, probe) = (&barrier, &probe);
 
-    std::thread::scope(|scope| {
-        for (t, thread_ops) in per_thread.iter().enumerate() {
-            let chunk_lo = t * prefill_items.len() / threads;
-            let chunk_hi = (t + 1) * prefill_items.len() / threads;
-            let prefill = &prefill_items[chunk_lo..chunk_hi];
-            let barrier = &barrier;
-            let total_ops = &total_ops;
-            let elapsed_ns = &elapsed_ns;
-            scope.spawn(move || {
-                let mut h = q.handle();
-                for it in prefill {
-                    h.insert(it.key, it.value);
-                }
-                let role = ThreadRole::for_thread(cfg.workload, t, threads);
-                let mut ops = OpStream::new(role, rep_seed, t as u64);
-                let mut keys = KeyGen::new(cfg.key_dist, rep_seed, t as u64);
-                let mut next_value = (t as u64) << VALUE_SHIFT;
-                barrier.wait(); // prefill complete
-                barrier.wait(); // start signal
-                let started = Instant::now();
-                // Flight recorder: one OpBatch span per 64-op batch,
-                // reusing the per-batch `started.elapsed()` read the
-                // tick sampler already pays for — no extra clock reads
-                // in the hot loop (and nothing at all while inactive).
-                let tracing = trace::active();
-                let anchor = trace::Anchor::at(started);
-                let mut span_begin = anchor.base_ns();
-                let mut count = 0u64;
-                // Cumulative op count at each elapsed tick boundary.
-                let mut ticks: Vec<u64> = Vec::new();
-                let mut next_tick = tick;
-                match cfg.stop {
-                    StopCondition::Duration(d) => loop {
-                        for _ in 0..64 {
-                            perform(&mut h, &mut ops, &mut keys, &mut next_value);
+    // Per worker: (ops performed, window length in ns, cumulative op
+    // count at each elapsed tick boundary, probe).
+    let workers: Vec<(u64, u64, Vec<u64>, P)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let chunk = &prefill[t * prefill.len() / threads..(t + 1) * prefill.len() / threads];
+                scope.spawn(move || {
+                    let mut h = q.handle();
+                    for it in chunk {
+                        h.insert(it.key, it.value);
+                    }
+                    let role = ThreadRole::for_thread(cfg.workload, t, threads);
+                    let mut ops = OpStream::new(role, rep_seed, t as u64);
+                    let mut keys = KeyGen::new(cfg.key_dist, rep_seed, t as u64);
+                    let mut next_value = (t as u64) << VALUE_SHIFT;
+                    barrier.wait(); // prefill complete
+                    let mut probe = probe(t);
+                    barrier.wait(); // start signal
+                    let started = Instant::now();
+                    // Flight recorder: one OpBatch span per 64-op batch,
+                    // reusing the per-batch `started.elapsed()` read the
+                    // tick sampler already pays for — no extra clock reads
+                    // in the hot loop (and nothing at all while inactive).
+                    let tracing = trace::active();
+                    let batch_spans = tracing && P::BATCH_SPANS;
+                    let anchor = trace::Anchor::at(started);
+                    let mut span_begin = anchor.base_ns();
+                    let mut count = 0u64;
+                    let mut ticks: Vec<u64> = Vec::new();
+                    let mut next_tick = tick;
+                    loop {
+                        let batch = 64.min(budget - count);
+                        for _ in 0..batch {
+                            perform(&mut h, &mut probe, &mut ops, &mut keys, &mut next_value);
                         }
-                        count += 64;
+                        count += batch;
                         let elapsed = started.elapsed();
-                        if tracing {
+                        if batch_spans {
                             let end = anchor.base_ns() + elapsed.as_nanos() as u64;
-                            trace::span(SpanOp::OpBatch, span_begin, end, 64);
+                            trace::span(SpanOp::OpBatch, span_begin, end, batch as u32);
                             span_begin = end;
                         }
                         while elapsed >= next_tick {
                             ticks.push(count);
                             next_tick += tick;
                         }
-                        if elapsed >= d {
+                        if count >= budget || elapsed >= window {
                             break;
                         }
-                    },
-                    StopCondition::OpsPerThread(n) => {
-                        while count < n {
-                            let batch = 64.min(n - count);
-                            for _ in 0..batch {
-                                perform(&mut h, &mut ops, &mut keys, &mut next_value);
-                            }
-                            count += batch;
-                            let elapsed = started.elapsed();
-                            if tracing {
-                                let end = anchor.base_ns() + elapsed.as_nanos() as u64;
-                                trace::span(SpanOp::OpBatch, span_begin, end, batch as u32);
-                                span_begin = end;
-                            }
-                            while elapsed >= next_tick {
-                                ticks.push(count);
-                                next_tick += tick;
-                            }
-                        }
                     }
-                }
-                let ns = started.elapsed().as_nanos() as u64;
-                // Commit handle-buffered operations outside the timed
-                // window so buffered queues neither lose items nor get
-                // credited for uncommitted work.
-                h.flush();
-                if tracing {
-                    trace::span(
-                        SpanOp::Flush,
-                        anchor.base_ns() + ns,
-                        anchor.ns_at(Instant::now()),
-                        1,
-                    );
-                }
-                total_ops.fetch_add(count, Ordering::Relaxed);
-                thread_ops.store(count, Ordering::Relaxed);
-                elapsed_ns.fetch_max(ns, Ordering::Relaxed);
-                *tick_series[t].lock().unwrap() = ticks;
-            });
-        }
+                    let ns = started.elapsed().as_nanos() as u64;
+                    // Commit handle-buffered operations outside the timed
+                    // window so buffered queues neither lose items nor get
+                    // credited for uncommitted work.
+                    h.flush();
+                    if tracing {
+                        trace::span(
+                            SpanOp::Flush,
+                            anchor.base_ns() + ns,
+                            anchor.ns_at(Instant::now()),
+                            1,
+                        );
+                    }
+                    (count, ns, ticks, probe)
+                })
+            })
+            .collect();
         trace::phase(PhaseKind::Prefill, rep as u32);
         barrier.wait(); // wait for prefill
         trace::phase(PhaseKind::Measure, rep as u32);
         barrier.wait(); // release the workers
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("benchmark worker panicked"))
+            .collect()
     });
     trace::phase(PhaseKind::RepEnd, rep as u32);
 
-    let ops = total_ops.load(Ordering::Relaxed) as f64;
-    let secs = elapsed_ns.load(Ordering::Relaxed) as f64 / 1e9;
-    let counts: Vec<u64> = per_thread
-        .iter()
-        .map(|c| c.load(Ordering::Relaxed))
-        .collect();
-    let series: Vec<Vec<u64>> = tick_series
-        .iter()
-        .map(|m| std::mem::take(&mut *m.lock().unwrap()))
-        .collect();
-    RepOutcome {
+    let (mut counts, mut series, mut probes) = (Vec::new(), Vec::new(), Vec::new());
+    let mut window_ns = 0u64;
+    for (count, ns, ticks, probe) in workers {
+        counts.push(count);
+        window_ns = window_ns.max(ns);
+        series.push(ticks);
+        probes.push(probe);
+    }
+    let ops = counts.iter().sum::<u64>() as f64;
+    let secs = window_ns as f64 / 1e9;
+    let outcome = RepOutcome {
         ops_per_sec: if secs > 0.0 { ops / secs } else { 0.0 },
         ticks: aggregate_ticks(&series, &counts),
         per_thread: counts,
-    }
+    };
+    (outcome, probes)
 }
 
 #[inline]
-fn perform<H: PqHandle>(
+fn perform<H: PqHandle, P: Probe>(
     h: &mut H,
+    probe: &mut P,
     ops: &mut OpStream,
     keys: &mut KeyGen,
     next_value: &mut u64,
@@ -369,11 +386,11 @@ fn perform<H: PqHandle>(
     match ops.next_op() {
         OpKind::Insert => {
             let key = keys.next_key();
-            h.insert(key, *next_value);
+            probe.insert(h, key, *next_value);
             *next_value += 1;
         }
         OpKind::DeleteMin => {
-            if let Some(item) = h.delete_min() {
+            if let Some(item) = probe.delete_min(h) {
                 keys.observe_delete(item.key);
             }
         }

@@ -12,10 +12,6 @@
 //! operation also passes through [`crate::chaos::tick`], so a checker
 //! run under chaos perturbs even queues that have no internal telemetry
 //! hook points.
-//!
-//! Recording is a per-queue runtime choice: [`Recorded::disabled`]
-//! builds a pass-through wrapper whose operations skip the clock and the
-//! buffer entirely, which lets generic drivers keep one code path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -55,38 +51,22 @@ pub struct OpRecord {
 /// Recording wrapper around a concurrent priority queue.
 ///
 /// Shareable by reference exactly like the queue it wraps; handles
-/// created through it record every operation (when enabled) into
+/// created through it record every operation into
 /// per-handle buffers collected by [`Recorded::take_histories`].
 pub struct Recorded<Q> {
     inner: Q,
-    enabled: bool,
     clock: AtomicU64,
     histories: Mutex<Vec<Vec<OpRecord>>>,
 }
 
 impl<Q> Recorded<Q> {
-    /// Wrap `inner` with recording enabled.
+    /// Wrap `inner`; every handle records its operations.
     pub fn new(inner: Q) -> Self {
         Self {
             inner,
-            enabled: true,
             clock: AtomicU64::new(0),
             histories: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Wrap `inner` as a pass-through: operations forward directly with
-    /// no clock traffic and no recording.
-    pub fn disabled(inner: Q) -> Self {
-        Self {
-            enabled: false,
-            ..Self::new(inner)
-        }
-    }
-
-    /// `true` when handles record their operations.
-    pub fn is_recording(&self) -> bool {
-        self.enabled
     }
 
     /// Current logical clock value. All records committed so far have
@@ -144,7 +124,7 @@ impl<Q: RelaxationBound> RelaxationBound for Recorded<Q> {
 }
 
 /// Handle produced by [`Recorded`]; forwards to the wrapped queue's
-/// handle and (when recording) logs each completed operation.
+/// handle and logs each completed operation.
 pub struct RecordedHandle<'a, Q: ConcurrentPq + 'a> {
     inner: Q::Handle<'a>,
     owner: &'a Recorded<Q>,
@@ -157,11 +137,7 @@ impl<'a, Q: ConcurrentPq> RecordedHandle<'a, Q> {
     /// finished (stamped) at this point.
     #[inline]
     fn start(&self) -> u64 {
-        if self.owner.enabled {
-            self.owner.clock.load(Ordering::SeqCst)
-        } else {
-            0
-        }
+        self.owner.clock.load(Ordering::SeqCst)
     }
 
     #[inline]
@@ -180,9 +156,7 @@ impl<'a, Q: ConcurrentPq> PqHandle for RecordedHandle<'a, Q> {
         crate::chaos::tick();
         let start = self.start();
         self.inner.insert(key, value);
-        if self.owner.enabled {
-            self.log(start, Op::Insert(Item::new(key, value)));
-        }
+        self.log(start, Op::Insert(Item::new(key, value)));
     }
 
     #[inline]
@@ -190,9 +164,7 @@ impl<'a, Q: ConcurrentPq> PqHandle for RecordedHandle<'a, Q> {
         crate::chaos::tick();
         let start = self.start();
         let got = self.inner.delete_min();
-        if self.owner.enabled {
-            self.log(start, Op::DeleteMin(got));
-        }
+        self.log(start, Op::DeleteMin(got));
         got
     }
 
@@ -200,16 +172,14 @@ impl<'a, Q: ConcurrentPq> PqHandle for RecordedHandle<'a, Q> {
     fn flush(&mut self) -> u64 {
         let start = self.start();
         let n = self.inner.flush();
-        if self.owner.enabled {
-            self.log(start, Op::Flush(n));
-        }
+        self.log(start, Op::Flush(n));
         n
     }
 }
 
 impl<'a, Q: ConcurrentPq> Drop for RecordedHandle<'a, Q> {
     fn drop(&mut self) {
-        if self.owner.enabled && !self.local.is_empty() {
+        if !self.local.is_empty() {
             let mut histories = self.owner.histories.lock().unwrap();
             histories.push(std::mem::take(&mut self.local));
         }
@@ -259,7 +229,6 @@ mod tests {
     #[test]
     fn records_ops_with_monotone_timestamps() {
         let q = Recorded::new(VecPq::default());
-        assert!(q.is_recording());
         assert_eq!(q.name(), "vecpq");
         {
             let mut h = q.handle();
@@ -286,19 +255,6 @@ mod tests {
         assert!(all[4..].iter().all(|r| r.ts >= boundary));
         assert_eq!(all[5].op, Op::DeleteMin(None));
         // Histories were drained.
-        assert!(q.take_histories().is_empty());
-    }
-
-    #[test]
-    fn disabled_wrapper_records_nothing() {
-        let q = Recorded::disabled(VecPq::default());
-        assert!(!q.is_recording());
-        {
-            let mut h = q.handle();
-            h.insert(5, 50);
-            assert_eq!(h.delete_min(), Some(Item::new(5, 50)));
-        }
-        assert_eq!(q.now(), 0, "disabled recording never touches the clock");
         assert!(q.take_histories().is_empty());
     }
 }

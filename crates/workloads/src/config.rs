@@ -8,6 +8,25 @@ use rand::SeedableRng;
 
 use crate::keys::{KeyDistribution, KeyGen};
 
+/// Value-space partition that makes every inserted value unique within
+/// a run (the harness and the checker share it): worker thread `t`
+/// numbers its inserts from `t << VALUE_SHIFT`, and the prefill uses
+/// the thread-id tag [`PREFILL_TAG`].
+pub const VALUE_SHIFT: u32 = 40;
+/// Thread-id tag marking prefill values.
+pub const PREFILL_TAG: u64 = 0xFF << VALUE_SHIFT;
+
+/// The prefill stream: `n` items with keys from `key_dist` on a
+/// dedicated generator stream (thread id `u64::MAX`, seed offset
+/// `0xF00D`, so it never collides with a worker's stream) and values
+/// `value_base + i`.
+pub fn prefill_items(key_dist: KeyDistribution, seed: u64, n: usize, value_base: u64) -> Vec<Item> {
+    let mut gen = KeyGen::new(key_dist, seed ^ 0xF00D, u64::MAX);
+    (0..n)
+        .map(|i| Item::new(gen.next_key(), value_base + i as u64))
+        .collect()
+}
+
 /// Which threads insert and which delete.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Workload {
@@ -103,10 +122,7 @@ impl BenchConfig {
     /// distribution" (appendix F): keys from the configured distribution,
     /// values encoding a unique id ≥ `value_base`.
     pub fn prefill_items(&self, value_base: u64) -> Vec<Item> {
-        let mut gen = KeyGen::new(self.key_dist, self.seed ^ 0xF00D, u64::MAX);
-        (0..self.prefill)
-            .map(|i| Item::new(gen.next_key(), value_base + i as u64))
-            .collect()
+        prefill_items(self.key_dist, self.seed, self.prefill, value_base)
     }
 
     /// Deterministic RNG for auxiliary decisions of rep `rep`.

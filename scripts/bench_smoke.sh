@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Smoke benchmarks and gates, one short run of each:
-#   * mq_smoke — plain multiqueue vs. the mq-sticky stickiness/buffering
-#     grid on the uniform workload; writes BENCH_multiqueue.json at the
-#     repository root and prints the best sticky config's speedup;
+#   * figures --metrics — plain multiqueue vs. the mq-sticky
+#     stickiness/buffering grid (s ∈ {1, 8, 64} × m ∈ {1, 16}) on the
+#     uniform workload; writes BENCH_multiqueue.json, the structured
+#     per-cell export, at the repository root;
 #   * batch_ablation — flat-combining A/B gate (FC_MIN_SPEEDUP) plus the
 #     insert-buffer size frontier; writes BENCH_flat_combining.json;
 #   * checker_stress — one chaos cell plus the mutation tests;
@@ -12,9 +13,9 @@
 #     that reintroduce false sharing; a second invocation built with
 #     --features trace additionally gates an actively-recording flight
 #     recorder at TRACE_MAX_OVERHEAD_PCT (default 5) percent;
-#   * figures --metrics — produces artifacts/metrics_smoke.json, the
-#     structured per-cell export (counters, time-sliced throughput,
-#     latency histograms) that CI uploads as an artifact;
+#   * figures --metrics with telemetry on — produces
+#     artifacts/metrics_smoke.json, the same export with the queues'
+#     event counters, that CI uploads as an artifact;
 #   * figures --trace — produces artifacts/trace_smoke.json, a
 #     Chrome-trace-event flight-recorder export (one track per thread,
 #     loadable in Perfetto) that CI also uploads as an artifact.
@@ -47,10 +48,13 @@ TRACE_MAX_OVERHEAD_PCT="${TRACE_MAX_OVERHEAD_PCT:-5}"
 # runners only fail on a real regression.
 FC_MIN_SPEEDUP="${FC_MIN_SPEEDUP:-1.0}"
 
-cargo run -p pq-bench --release --offline --bin mq_smoke -- \
+echo "== multiqueue vs. mq-sticky stickiness/buffer grid =="
+cargo run -p pq-bench --release --offline --bin figures -- \
+    --experiment fig4a \
+    --queues multiqueue,mq-sticky-s1-m1,mq-sticky-s1-m16,mq-sticky-s8-m1,mq-sticky-s8-m16,mq-sticky-s64-m1,mq-sticky-s64-m16 \
     --threads "$THREADS" \
     --duration-ms "$DURATION_MS" \
-    --out BENCH_multiqueue.json
+    --metrics BENCH_multiqueue.json
 
 echo "== flat-combining A/B + batch ablation (gates ${FC_MIN_SPEEDUP}x plain locked) =="
 # Interleaved A/B of each flat-combining queue against its plain locked

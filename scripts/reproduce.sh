@@ -32,9 +32,6 @@ echo "== latency (appendix F switch) =="
 cargo run -q --release -p pq-bench --bin latency -- --threads 4 \
     | tee results_latency.txt
 
-echo "== criterion benches (regression tracking + ablations) =="
-cargo bench --workspace 2>&1 | tee bench_output.txt
-
 echo "== examples =="
 for ex in quickstart sssp discrete_event_sim branch_and_bound queue_stats; do
     echo "-- $ex"

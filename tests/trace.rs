@@ -42,7 +42,31 @@ fn trace_disabled_is_zero_cost_and_empty() {
 #[cfg(feature = "trace")]
 mod traced {
     use super::*;
+    use harness::{run_latency, run_quality};
     use pq_traits::trace::{PhaseKind, RecordData, SpanOp};
+
+    #[derive(Default)]
+    struct SpanTotals {
+        /// Sum of `ops` over `OpBatch` spans.
+        batch_ops: u64,
+        /// Sum of `ops` over `Insert` and `DeleteMin` spans.
+        single_ops: u64,
+        flushes: usize,
+    }
+
+    fn span_totals(data: &trace::TraceData) -> SpanTotals {
+        let mut t = SpanTotals::default();
+        for rec in data.timelines.iter().flat_map(|tl| tl.records.iter()) {
+            if let RecordData::Span { op, ops, .. } = rec.data {
+                match op {
+                    SpanOp::OpBatch => t.batch_ops += u64::from(ops),
+                    SpanOp::Insert | SpanOp::DeleteMin => t.single_ops += u64::from(ops),
+                    SpanOp::Flush => t.flushes += 1,
+                }
+            }
+        }
+        t
+    }
 
     /// The acceptance-criterion cell: a 4-thread throughput run whose
     /// export must contain one track per worker thread.
@@ -84,25 +108,28 @@ mod traced {
 
         // Worker spans account for every measured op: OpBatch spans
         // carry the per-batch op counts, plus one flush span per worker.
-        let (mut batch_ops, mut flushes) = (0u64, 0usize);
-        for tl in &data.timelines {
-            for rec in &tl.records {
-                match rec.data {
-                    RecordData::Span {
-                        op: SpanOp::OpBatch,
-                        ops,
-                        ..
-                    } => batch_ops += u64::from(ops),
-                    RecordData::Span {
-                        op: SpanOp::Flush, ..
-                    } => flushes += 1,
-                    _ => {}
-                }
-            }
-        }
         let total_ops: u64 = r.last_rep_thread_ops.iter().sum();
-        assert_eq!(batch_ops, total_ops, "OpBatch spans must cover every op");
-        assert_eq!(flushes, THREADS, "one flush span per worker");
+        let spans = span_totals(&data);
+        assert_eq!(spans.batch_ops, total_ops, "OpBatch spans must cover every op");
+        assert_eq!(spans.single_ops, 0, "throughput records no per-op spans");
+        assert_eq!(spans.flushes, THREADS, "one flush span per worker");
+
+        // The quality and latency cells run on the same worker loop:
+        // each measured op is counted in exactly one span (the
+        // exporter's attribution sums `ops` over all span kinds) —
+        // batch spans for quality, the timing probe's per-op spans
+        // *instead of* them for latency.
+        let measured = (THREADS * 5_000) as u64;
+        trace::start(trace::DEFAULT_CAPACITY);
+        run_quality(QueueSpec::parse("multiqueue").unwrap(), &cell_cfg(THREADS));
+        let spans = span_totals(&trace::stop());
+        assert_eq!((spans.batch_ops, spans.single_ops), (measured, 0), "quality cell");
+        assert_eq!(spans.flushes, THREADS, "quality: one flush span per worker");
+        trace::start(trace::DEFAULT_CAPACITY);
+        run_latency(QueueSpec::parse("multiqueue").unwrap(), &cell_cfg(THREADS));
+        let spans = span_totals(&trace::stop());
+        assert_eq!((spans.batch_ops, spans.single_ops), (0, measured), "latency cell");
+        assert_eq!(spans.flushes, THREADS, "latency: one flush span per worker");
 
         // The export names one track per timeline and stays loadable
         // (traceEvents + attribution alongside).
