@@ -250,19 +250,24 @@ mod tests {
     fn single_thread_klsm_matches_recorded_golden() {
         // P = 1 is deterministic, so the whole pipeline — prefill
         // split, op/key streams, value numbering, which ops get logged
-        // and stamped, replay — is pinned by one number. Golden values
-        // recorded at commit 6fc7b5d (before quality moved onto the
-        // shared worker loop).
+        // and stamped, replay — is pinned by one number. Re-recorded on
+        // top of a82c50d when the SLSM started answering `UseLocal` from
+        // the block-list snapshot before probing the pivot: the outcome
+        // of each comparison is unchanged, but skipped probes no longer
+        // draw from the handle RNG, so later picks differ. Previous
+        // values (recorded at 6fc7b5d): rank.mean 19.514095536413468,
+        // max 125, delay.mean 17.650352388410337. The seen-taken bitmap
+        // alone reproduced them bit-identically.
         let cfg = BenchConfig {
             stop: StopCondition::OpsPerThread(5_000),
             seed: 11,
             ..tiny_cfg(1)
         };
         let r = run_quality(QueueSpec::Klsm(128), &cfg);
-        assert_eq!(r.rank.mean, 19.514095536413468);
-        assert_eq!(r.max, 125);
+        assert_eq!(r.rank.mean, 17.252545027407987);
+        assert_eq!(r.max, 127);
         assert_eq!(r.deletions, 2554);
-        assert_eq!(r.delay.mean, 17.650352388410337);
+        assert_eq!(r.delay.mean, 16.147611589663274);
     }
 
     #[test]

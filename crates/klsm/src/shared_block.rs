@@ -9,8 +9,14 @@
 //! `compare_exchange(false, true)` on its flag, so no matter how many
 //! block generations an entry has been copied through, at most one
 //! deletion can ever return it.
+//!
+//! Each block also keeps a `seen_taken` bitmap, one bit per entry, set
+//! once some reader has observed that entry's flag taken. Flags never
+//! revert, so a set bit is always true and [`SharedBlock::next_live`]
+//! skips known-taken runs a word at a time instead of re-reading their
+//! flags through the segment pointers.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use pq_traits::Item;
@@ -68,8 +74,8 @@ impl Entry {
 }
 
 /// Immutable sorted block of entries, plus the segments keeping the
-/// entries' flags alive and a monotone `first` hint that skips the taken
-/// prefix.
+/// entries' flags alive, a monotone `first` hint that skips the taken
+/// prefix and a monotone bitmap of entries seen taken.
 #[derive(Debug)]
 pub struct SharedBlock {
     entries: Box<[Entry]>,
@@ -77,6 +83,9 @@ pub struct SharedBlock {
     /// `fetch_max`-style updates. A hint only — correctness never depends
     /// on it.
     first: AtomicUsize,
+    /// Bit `i` set ⇒ entry `i` was seen taken. Monotone (only ever
+    /// OR-ed into), so skipping a set bit never skips a live entry.
+    seen_taken: Box<[AtomicU64]>,
     /// Keep-alive references for every segment the entries point into.
     segments: Box<[Arc<Segment>]>,
     capacity: usize,
@@ -102,11 +111,19 @@ impl SharedBlock {
                 flag: segment.flag_ptr(i),
             })
             .collect();
+        Self::build(entries, Box::new([segment]))
+    }
+
+    fn build(entries: Box<[Entry]>, segments: Box<[Arc<Segment>]>) -> Arc<Self> {
         let capacity = entries.len().next_power_of_two().max(1);
+        let seen_taken = (0..entries.len().div_ceil(64))
+            .map(|_| AtomicU64::new(0))
+            .collect();
         Arc::new(Self {
             entries,
             first: AtomicUsize::new(0),
-            segments: Box::new([segment]),
+            seen_taken,
+            segments,
             capacity,
         })
     }
@@ -157,25 +174,7 @@ impl SharedBlock {
             .chain(b.segments.iter())
             .cloned()
             .collect();
-        let capacity = entries.len().next_power_of_two().max(1);
-        Arc::new(Self {
-            entries: entries.into_boxed_slice(),
-            first: AtomicUsize::new(0),
-            segments,
-            capacity,
-        })
-    }
-
-    /// Rebuild this block around its currently-live entries (compaction).
-    pub fn compact(&self) -> Arc<Self> {
-        let entries: Vec<Entry> = self.live_entries().copied().collect();
-        let capacity = entries.len().next_power_of_two().max(1);
-        Arc::new(Self {
-            entries: entries.into_boxed_slice(),
-            first: AtomicUsize::new(0),
-            segments: self.segments.clone().into_vec().into_boxed_slice(),
-            capacity,
-        })
+        Self::build(entries.into_boxed_slice(), segments)
     }
 
     /// Power-of-two capacity (based on live count at construction).
@@ -216,14 +215,74 @@ impl SharedBlock {
 
     /// Index of the first live entry at or after the `first` hint,
     /// advancing the hint past any taken prefix found. `None` if the
-    /// block is (currently) fully taken.
+    /// block is (currently) fully taken. Writes the hint only when it
+    /// moved, so a refresh of an unchanged block is read-only.
+    ///
+    /// A plain scan, not [`SharedBlock::next_live`]: the hint already
+    /// keeps the taken prefix from being re-read, and marking a prefix
+    /// the hint is about to pass only adds bitmap writes (klsm256 on
+    /// `sawtooth_p2` ran at 0.84× of the parent with the bitmap skip here
+    /// and in `compute_pivot`, 0.92× without).
     pub fn refresh_first(&self) -> Option<usize> {
-        let mut i = self.first.load(Ordering::Relaxed);
+        let first = self.first.load(Ordering::Relaxed);
+        let mut i = first;
         while i < self.entries.len() && self.entries[i].is_taken() {
             i += 1;
         }
-        self.first.fetch_max(i, Ordering::Relaxed);
+        if i > first {
+            self.first.fetch_max(i, Ordering::Relaxed);
+        }
         (i < self.entries.len()).then_some(i)
+    }
+
+    /// First index in `[from, end)` whose taken flag reads untaken, or
+    /// `None`. Entries already marked in `seen_taken` are skipped a run
+    /// at a time without touching their flags; entries newly seen taken
+    /// are OR-ed into the bitmap with one `fetch_or` per word. Adds the
+    /// number of flags actually read to `reads`.
+    pub(crate) fn next_live(&self, from: usize, end: usize, reads: &mut usize) -> Option<usize> {
+        let end = end.min(self.entries.len());
+        let mut i = from;
+        while i < end {
+            let w = i / 64;
+            let word_end = ((w + 1) * 64).min(end);
+            // Acquire pairs with the Release `fetch_or` below: skipping a
+            // set bit is as good as the Acquire flag read that set it.
+            // Most probes land on a live entry, so the start entry's flag
+            // is read before its word: such probes never touch the
+            // bitmap's cache line, which the other threads write.
+            let mut seen = 0;
+            if i != from {
+                seen = self.seen_taken[w].load(Ordering::Acquire);
+            }
+            let mut newly = 0u64;
+            let mut live = None;
+            while i < word_end {
+                // Length of the run of known-taken entries starting at `i`.
+                let run = ((!seen) >> (i % 64)).trailing_zeros() as usize;
+                if run > 0 {
+                    i = (i + run).min(word_end);
+                    continue;
+                }
+                *reads += 1;
+                if !self.entries[i].is_taken() {
+                    live = Some(i);
+                    break;
+                }
+                if i == from {
+                    seen = self.seen_taken[w].load(Ordering::Acquire);
+                }
+                newly |= 1 << (i % 64);
+                i += 1;
+            }
+            if newly != 0 {
+                self.seen_taken[w].fetch_or(newly, Ordering::Release);
+            }
+            if live.is_some() {
+                return live;
+            }
+        }
+        None
     }
 
     /// Smallest live item, if any (refreshes the `first` hint).
@@ -301,26 +360,71 @@ mod tests {
     }
 
     #[test]
-    fn compact_drops_taken_and_resizes() {
-        let b = SharedBlock::from_batch(&items(&[1, 2, 3, 4, 5, 6, 7, 8]));
-        for i in 0..6 {
-            assert!(b.entry(i).try_take());
-        }
-        let c = b.compact();
-        assert_eq!(c.total_len(), 2);
-        assert_eq!(c.capacity(), 2);
-        // Flags still shared: taking in the compacted block blocks the old.
-        assert!(c.entry(0).try_take());
-        assert!(!b.entry(6).try_take());
-    }
-
-    #[test]
     fn capacity_is_power_of_two() {
         for n in [1usize, 2, 3, 5, 8, 9, 100] {
             let b = SharedBlock::from_batch(&items(&(0..n as u64).collect::<Vec<_>>()));
             assert!(b.capacity().is_power_of_two());
             assert!(b.capacity() >= n);
             assert!(b.capacity() < 2 * n.next_power_of_two());
+        }
+    }
+
+    #[test]
+    fn next_live_marks_seen_taken_and_skips_them() {
+        let b = SharedBlock::from_batch(&items(&(0..200).collect::<Vec<_>>()));
+        for i in 0..150 {
+            assert!(b.entry(i).try_take());
+        }
+        let mut reads = 0;
+        assert_eq!(b.next_live(0, 200, &mut reads), Some(150));
+        assert_eq!(reads, 151);
+        // Second pass: the start flag, then 149 taken entries skipped
+        // through the bitmap, then the live one.
+        reads = 0;
+        assert_eq!(b.next_live(0, 200, &mut reads), Some(150));
+        assert_eq!(reads, 2);
+        assert_eq!(b.next_live(10, 10, &mut reads), None);
+        assert_eq!(b.next_live(10, 150, &mut reads), None);
+        assert_eq!(reads, 3, "a fully seen range reads only its start flag");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        #[test]
+        fn prop_next_live_matches_linear_scan(
+            taken in proptest::collection::vec(proptest::bool::ANY, 0..300),
+            premark in proptest::collection::vec(proptest::bool::ANY, 300..301),
+            bounds in proptest::collection::vec((0usize..320, 0usize..320), 1..8),
+        ) {
+            let n = taken.len();
+            let b = SharedBlock::from_batch(&items(&(0..n as u64).collect::<Vec<_>>()));
+            for (i, &t) in taken.iter().enumerate() {
+                if t {
+                    assert!(b.entry(i).try_take());
+                    // Pre-mark a random subset of the taken entries.
+                    if premark[i] {
+                        b.seen_taken[i / 64].fetch_or(1 << (i % 64), Ordering::Relaxed);
+                    }
+                }
+            }
+            // Word-boundary pairs plus random (possibly empty or
+            // inverted) ranges, each queried twice so the second query
+            // runs against the bitmap the first one filled in.
+            let edges = [(0, n), (63, 65), (64, 128), (0, 64), (127, n), (n, n)];
+            for (from, end) in edges.into_iter().chain(bounds) {
+                let want = (from..end.min(n)).find(|&i| !taken[i]);
+                for _ in 0..2 {
+                    proptest::prop_assert_eq!(b.next_live(from, end, &mut 0), want);
+                }
+            }
+            for (i, w) in b.seen_taken.iter().enumerate() {
+                let w = w.load(Ordering::Relaxed);
+                for bit in 0..64 {
+                    if w >> bit & 1 == 1 {
+                        proptest::prop_assert!(taken[i * 64 + bit], "entry {} marked but live", i * 64 + bit);
+                    }
+                }
+            }
         }
     }
 

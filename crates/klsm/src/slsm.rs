@@ -44,6 +44,11 @@ impl BlockList {
             ends: Vec::new(),
         }
     }
+
+    /// Each non-empty block's first live item (refreshes first hints).
+    fn block_mins(&self) -> impl Iterator<Item = Item> + '_ {
+        self.blocks.iter().filter_map(|b| b.peek())
+    }
 }
 
 /// Outcome of [`Slsm::delete_min_if_better`].
@@ -179,6 +184,14 @@ impl Slsm {
             let shared = self.list.load(Ordering::Acquire, &guard);
             // SAFETY: protected by `guard`, freed only via defer_destroy.
             let list = unsafe { shared.deref() };
+            // Every pivot candidate is ≥ its block's first live item, so
+            // a local item ≤ all of them would win against any probe.
+            if let Some(loc) = local {
+                if list.block_mins().all(|m| loc <= m) {
+                    telemetry::record_quiet(telemetry::Event::SlsmLocalShortcut);
+                    return SlsmOutcome::UseLocal;
+                }
+            }
             match pick_candidate(list, rng) {
                 Some(entry) => {
                     if let Some(loc) = local {
@@ -213,7 +226,7 @@ impl Slsm {
         let shared = self.list.load(Ordering::Acquire, &guard);
         // SAFETY: protected by `guard`.
         let list = unsafe { shared.deref() };
-        list.blocks.iter().filter_map(|b| b.peek()).min()
+        list.block_mins().min()
     }
 
     /// Publish a fresh pivot range (and prune empty blocks). A failed CAS
@@ -333,6 +346,8 @@ fn pick_candidate(list: &BlockList, rng: &mut SmallRng) -> Option<Entry> {
     if nb == 0 {
         return None;
     }
+    let mut reads = 0;
+    let mut picked = None;
     let rot = rng.gen_range(0..nb);
     for off in 0..nb {
         let i = (rot + off) % nb;
@@ -344,16 +359,18 @@ fn pick_candidate(list: &BlockList, rng: &mut SmallRng) -> Option<Entry> {
         }
         let start = rng.gen_range(first..end);
         // Probe [start, end), then wrap to [first, start).
-        for j in (start..end).chain(first..start) {
-            let e = block.entry(j);
-            if !e.is_taken() {
-                return Some(*e);
-            }
+        let live = block
+            .next_live(start, end, &mut reads)
+            .or_else(|| block.next_live(first, start, &mut reads));
+        if let Some(j) = live {
+            picked = Some(*block.entry(j));
+            break;
         }
         // Entire segment taken: advance the hint so future scans skip it.
         block.advance_first(end);
     }
-    None
+    telemetry::record_n_quiet(telemetry::Event::SlsmProbeEntries, reads as u64);
+    picked
 }
 
 /// Per-thread handle for a standalone [`Slsm`].
@@ -521,6 +538,77 @@ mod tests {
         all.sort();
         all.dedup();
         assert_eq!(all.len(), (threads * per) as usize, "duplicate values returned");
+    }
+
+    #[test]
+    fn concurrent_probes_across_bitmap_words() {
+        // Large blocks with k = 64: pivot segments fill with taken
+        // entries and span several 64-entry bitmap words, so probes and
+        // the bitmap's `fetch_or`s race across word edges.
+        let s = Slsm::new(64);
+        let (threads, per, prefill) = (4u64, 3000u64, 4096u64);
+        let item = |v: u64| Item::new(v * 5 % 12_289, v);
+        s.insert_batch((0..prefill).map(item).collect());
+        let taken: std::sync::Mutex<Vec<Item>> = std::sync::Mutex::new(Vec::new());
+        std::thread::scope(|sc| {
+            for t in 0..threads {
+                let (s, taken) = (&s, &taken);
+                sc.spawn(move || {
+                    let mut r = SmallRng::seed_from_u64(t);
+                    let mut mine = Vec::new();
+                    for i in (0..per).step_by(100) {
+                        let base = prefill + t * per + i;
+                        s.insert_batch((base..base + 100).map(item).collect());
+                        mine.extend((0..100).filter_map(|_| s.delete_min(&mut r)));
+                    }
+                    taken.lock().unwrap().extend(mine);
+                });
+            }
+        });
+        let mut all = taken.into_inner().unwrap();
+        all.extend(std::iter::from_fn(|| s.delete_min(&mut rng())));
+        all.sort_unstable();
+        let mut expect: Vec<Item> = (0..prefill + threads * per).map(item).collect();
+        expect.sort_unstable();
+        assert_eq!(all, expect, "items lost or duplicated");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        #[test]
+        fn prop_local_vs_shared_outcome_is_exact(
+            batches in proptest::collection::vec(
+                proptest::collection::vec(0u64..1000, 1..80), 1..8),
+            takes in 0usize..200,
+            k in 0usize..80,
+            locs in proptest::collection::vec(0u64..1100, 1..16),
+            seed in 0u64..1_000_000,
+        ) {
+            let s = Slsm::new(k);
+            for (bi, batch) in batches.iter().enumerate() {
+                s.insert_batch(batch.iter().enumerate()
+                    .map(|(i, &key)| Item::new(key, (bi * 100 + i) as u64)).collect());
+            }
+            let mut r = SmallRng::seed_from_u64(seed);
+            for _ in 0..takes {
+                s.delete_min(&mut r);
+            }
+            for (i, &key) in locs.iter().enumerate() {
+                // Values above every stored value, so ties on key break
+                // towards the shared item.
+                let loc = Item::new(key, 1_000_000 + i as u64);
+                let (peek, live) = (s.peek_min(), s.len_hint());
+                match s.delete_min_if_better(Some(loc), &mut r) {
+                    SlsmOutcome::UseLocal => proptest::prop_assert_eq!(s.len_hint(), live),
+                    SlsmOutcome::TookShared(e) => {
+                        proptest::prop_assert!(peek.is_some_and(|p| p < loc));
+                        proptest::prop_assert!(e < loc, "took {:?} ≥ local {:?}", e, loc);
+                        proptest::prop_assert_eq!(s.len_hint(), live - 1);
+                    }
+                    SlsmOutcome::Empty => proptest::prop_assert!(false, "Empty with a local item"),
+                }
+            }
+        }
     }
 
     proptest::proptest! {

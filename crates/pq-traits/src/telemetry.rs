@@ -96,11 +96,19 @@ pub enum Event {
     /// Flat combining: number of published operations applied by
     /// combiners on behalf of any thread (recorded with [`record_n`]).
     FcOpsCombined,
+    /// SLSM: taken flags read by one pivot probe (recorded once per
+    /// probe with [`record_n_quiet`]; entries skipped through the
+    /// seen-taken bitmap are not reads).
+    SlsmProbeEntries,
+    /// SLSM: a deletion answered `UseLocal` from the block-list snapshot
+    /// (the local item is ≤ every block's first live item) without
+    /// probing the pivot range.
+    SlsmLocalShortcut,
 }
 
 impl Event {
     /// Every event, in stable export order.
-    pub const ALL: [Event; 18] = [
+    pub const ALL: [Event; 20] = [
         Event::SkiplistFindRestart,
         Event::SkiplistCasRetry,
         Event::DlsmSpyAttempt,
@@ -119,6 +127,8 @@ impl Event {
         Event::FcLockAcquire,
         Event::FcCombineRound,
         Event::FcOpsCombined,
+        Event::SlsmProbeEntries,
+        Event::SlsmLocalShortcut,
     ];
 
     /// Number of distinct events.
@@ -145,6 +155,8 @@ impl Event {
             Event::FcLockAcquire => "fc_lock_acquires",
             Event::FcCombineRound => "fc_combine_rounds",
             Event::FcOpsCombined => "fc_ops_combined",
+            Event::SlsmProbeEntries => "slsm_probe_entries",
+            Event::SlsmLocalShortcut => "slsm_local_shortcut",
         }
     }
 }
@@ -224,7 +236,8 @@ pub fn record_n(event: Event, n: u64) {
 /// For events on purely sequential internal paths (e.g. the LSM block
 /// pool, which only ever runs under `&mut self`): schedule perturbation
 /// at such a site cannot surface interleavings, so the chaos shim's
-/// relaxed load is pure overhead there. With the `telemetry` feature
+/// relaxed load is pure overhead there. Also for per-operation counters
+/// on hot paths (the SLSM probe), which are not slow-path markers. With the `telemetry` feature
 /// disabled this compiles to nothing at all.
 #[inline]
 pub fn record_quiet(event: Event) {

@@ -164,6 +164,45 @@ mod events {
         );
     }
 
+    /// Guards the SLSM probe mechanism by count, not by time: at P = 1
+    /// the op stream, and so every count, repeats exactly. Without the
+    /// seen-taken bitmap a probe re-reads the taken entries earlier
+    /// pivots left behind (70–600 flag reads per call at k = 256);
+    /// without the snapshot check every deletion probes. The local side
+    /// wins more often as deletions eat into the prefill (29 % of calls
+    /// shortcut after 2·10⁵ ops, 63 % after 10⁶), hence 10⁶ ops.
+    #[test]
+    fn slsm_probe_reads_few_flags_and_mostly_shortcuts() {
+        use rand::{Rng, SeedableRng};
+
+        let before = telemetry::snapshot();
+        let q = klsm::Klsm::new(256, 1);
+        let mut h = q.handle();
+        let mut r = rand::rngs::SmallRng::seed_from_u64(26);
+        for v in 0..100_000u64 {
+            h.insert(r.gen::<u32>() as u64, v);
+        }
+        let mut deletes = 0u64;
+        for v in 100_000..1_100_000u64 {
+            if r.gen_bool(0.5) {
+                h.insert(r.gen::<u32>() as u64, v);
+            } else {
+                assert!(h.delete_min().is_some());
+                deletes += 1;
+            }
+        }
+        let delta = telemetry::snapshot().since(&before);
+        // One SLSM call per deletion (the queue never runs dry); every
+        // call that does not shortcut probes at least once. Another
+        // test's standalone SLSM may add a few probes, never shortcuts.
+        let shortcuts = delta.get(Event::SlsmLocalShortcut);
+        let probing_calls = deletes - shortcuts;
+        let reads = delta.get(Event::SlsmProbeEntries) as f64 / probing_calls as f64;
+        assert!(reads < 4.0, "{reads:.2} flag reads per probe");
+        let share = shortcuts as f64 / deletes as f64;
+        assert!(share > 0.5, "shortcut on {share:.2} of SLSM calls");
+    }
+
     #[test]
     fn mq_empty_sample_recorded_on_empty_queue() {
         let before = telemetry::snapshot();
