@@ -81,7 +81,6 @@ fn strict_drain(spec: &QueueSpec) -> bool {
         spec,
         QueueSpec::Linden
             | QueueSpec::GlobalLock
-            | QueueSpec::GlobalLockPairing
             | QueueSpec::FcGlobalLock(1)
             | QueueSpec::FcMound(1)
     )

@@ -1,33 +1,31 @@
-//! A/B overhead check for the observability layers.
+//! A/B overhead check for an actively recording flight recorder.
 //!
-//! Runs the same uniform throughput workload on a plain MultiQueue and
-//! A/Bs two instrumentation layers against it:
+//! Runs the same uniform throughput workload on a plain MultiQueue
+//! twice — once untraced, once with the flight recorder
+//! ([`pq_traits::trace`]) capturing batch spans — and fails (exit 1)
+//! when the traced arm is more than `--max-trace-overhead-pct` percent
+//! slower, or recorded nothing. This guards the batch-span design
+//! against regressions that put clock reads or shared-line traffic in
+//! the hot loop; `scripts/bench_smoke.sh` runs it. (The `Instrumented`
+//! counters need no gate here: every `perf_ledger` cell runs through
+//! them, and its traced pass reports their cost.)
 //!
-//! * the [`Instrumented`] wrapper (per-handle sharded op counters),
-//!   gated at `--max-overhead-pct` percent of plain throughput;
-//! * when built with `--features trace`, an arm with an active
-//!   flight-recorder trace ([`pq_traits::trace`]), gated at
-//!   `--max-trace-overhead-pct` percent — guarding the batch-span
-//!   design against regressions that put clock reads or shared-line
-//!   traffic in the hot loop.
-//!
-//! Fails (exit 1) when either layer exceeds its limit; this binary is
-//! the regression guard `scripts/bench_smoke.sh` runs in CI.
+//! Needs `--features trace`; without it the binary exits 2, as
+//! `--trace` does on the grid tools.
 //!
 //! ```text
-//! cargo run -p pq-bench --release --bin instr_overhead -- \
-//!     --threads 4 --max-overhead-pct 5
+//! cargo run -p pq-bench --release --features trace --bin instr_overhead -- \
+//!     --threads 4 --max-trace-overhead-pct 5
 //! ```
 
 use std::time::Duration;
 
 use harness::{experiments, run_throughput_with};
+use multiqueue_pq::MultiQueue;
 use pq_bench::cli;
-use pq_traits::{trace, Instrumented};
+use pq_traits::trace;
 use workloads::config::StopCondition;
 use workloads::BenchConfig;
-
-type Mq = multiqueue_pq::MultiQueue<seqpq::BinaryHeap>;
 
 struct Args {
     threads: usize,
@@ -35,21 +33,23 @@ struct Args {
     duration_ms: u64,
     reps: usize,
     seed: u64,
-    max_overhead_pct: f64,
     max_trace_overhead_pct: f64,
 }
 
 const USAGE: &str = "usage: instr_overhead [--threads N] [--prefill N] [--duration-ms N] \
-                     [--reps N] [--seed N] [--max-overhead-pct F] [--max-trace-overhead-pct F]";
+                     [--reps N] [--seed N] [--max-trace-overhead-pct F]\n\
+                     (build with --features trace)";
 
 fn parse(mut argv: cli::Args) -> Result<Args, String> {
+    if !trace::compiled() {
+        return Err("instr_overhead requires building with --features trace".to_owned());
+    }
     let mut args = Args {
         threads: 4,
         prefill: 100_000,
         duration_ms: 300,
         reps: 3,
         seed: 0x5EED,
-        max_overhead_pct: 5.0,
         max_trace_overhead_pct: 5.0,
     };
     while let Some(flag) = argv.next_flag() {
@@ -59,7 +59,6 @@ fn parse(mut argv: cli::Args) -> Result<Args, String> {
             "--duration-ms" => args.duration_ms = argv.value()?,
             "--reps" => args.reps = argv.value()?,
             "--seed" => args.seed = argv.value()?,
-            "--max-overhead-pct" => args.max_overhead_pct = argv.value()?,
             "--max-trace-overhead-pct" => args.max_trace_overhead_pct = argv.value()?,
             _ => return argv.unknown(),
         }
@@ -79,83 +78,54 @@ fn main() {
         reps: args.reps,
         seed: args.seed,
     };
-    let subqueues = 4 * args.threads.max(1);
 
+    let mq = || MultiQueue::new(4, args.threads);
     eprintln!("running plain multiqueue ({} threads)...", args.threads);
-    let plain = run_throughput_with(
-        "multiqueue",
-        || Mq::new(4, args.threads),
-        &cfg,
-    );
+    let plain = run_throughput_with("multiqueue", mq, &cfg);
     eprintln!("  {:.3} MOps/s", plain.mops());
-    eprintln!("running instrumented multiqueue ({} threads)...", args.threads);
-    let wrapped = run_throughput_with(
-        "instrumented-multiqueue",
-        || Instrumented::new(Mq::new(4, args.threads)),
-        &cfg,
-    );
-    eprintln!("  {:.3} MOps/s", wrapped.mops());
 
-    // How much slower than plain an arm ran, in percent of plain.
-    let base = plain.summary.mean;
-    let overhead = |arm: f64| if base > 0.0 { (base - arm) / base * 100.0 } else { 0.0 };
-    let overhead_pct = overhead(wrapped.summary.mean);
-    println!(
-        "plain {:.3} MOps/s ({subqueues} sub-queues), instrumented {:.3} MOps/s, \
-         overhead {overhead_pct:.2}% (limit {:.2}%)",
-        plain.mops(),
-        wrapped.mops(),
-        args.max_overhead_pct,
+    // Same plain queue, with the flight recorder actively capturing
+    // batch spans during the run.
+    eprintln!("running traced multiqueue ({} threads)...", args.threads);
+    trace::start(trace::DEFAULT_CAPACITY);
+    let traced = run_throughput_with("traced-multiqueue", mq, &cfg);
+    let data = trace::stop();
+    eprintln!(
+        "  {:.3} MOps/s ({} trace records, {} dropped)",
+        traced.mops(),
+        data.records_total(),
+        data.dropped_total(),
     );
-    // Run-to-run noise makes the wrapped run occasionally *faster*;
-    // only a positive gap beyond the limit is a failure.
+
+    // How much slower than plain the traced arm ran, in percent of
+    // plain. Run-to-run noise makes it occasionally *faster*; only a
+    // positive gap beyond the limit is a failure.
+    let base = plain.summary.mean;
+    let overhead_pct = if base > 0.0 {
+        (base - traced.summary.mean) / base * 100.0
+    } else {
+        0.0
+    };
+    println!(
+        "plain {:.3} MOps/s ({} sub-queues), traced {:.3} MOps/s, \
+         trace overhead {overhead_pct:.2}% (limit {:.2}%)",
+        plain.mops(),
+        4 * args.threads,
+        traced.mops(),
+        args.max_trace_overhead_pct,
+    );
     let mut failed = false;
-    if overhead_pct > args.max_overhead_pct {
+    if data.records_total() == 0 {
+        eprintln!("instr_overhead: FAIL — trace arm recorded nothing");
+        failed = true;
+    }
+    if overhead_pct > args.max_trace_overhead_pct {
         eprintln!(
-            "instr_overhead: FAIL — instrumentation costs {overhead_pct:.2}% > {:.2}%",
-            args.max_overhead_pct
+            "instr_overhead: FAIL — tracing costs {overhead_pct:.2}% > {:.2}%",
+            args.max_trace_overhead_pct
         );
         failed = true;
     }
-
-    // Trace-on arm: same plain queue, but with the flight recorder
-    // actively capturing batch spans during the run.
-    if trace::compiled() {
-        eprintln!("running traced multiqueue ({} threads)...", args.threads);
-        trace::start(trace::DEFAULT_CAPACITY);
-        let traced = run_throughput_with(
-            "traced-multiqueue",
-            || Mq::new(4, args.threads),
-            &cfg,
-        );
-        let data = trace::stop();
-        eprintln!(
-            "  {:.3} MOps/s ({} trace records, {} dropped)",
-            traced.mops(),
-            data.records_total(),
-            data.dropped_total(),
-        );
-        let trace_overhead_pct = overhead(traced.summary.mean);
-        println!(
-            "traced {:.3} MOps/s, trace overhead {trace_overhead_pct:.2}% (limit {:.2}%)",
-            traced.mops(),
-            args.max_trace_overhead_pct,
-        );
-        if data.records_total() == 0 {
-            eprintln!("instr_overhead: FAIL — trace arm recorded nothing");
-            failed = true;
-        }
-        if trace_overhead_pct > args.max_trace_overhead_pct {
-            eprintln!(
-                "instr_overhead: FAIL — tracing costs {trace_overhead_pct:.2}% > {:.2}%",
-                args.max_trace_overhead_pct
-            );
-            failed = true;
-        }
-    } else {
-        eprintln!("trace feature not compiled; skipping trace-on arm");
-    }
-
     if failed {
         std::process::exit(1);
     }

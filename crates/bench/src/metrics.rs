@@ -40,7 +40,7 @@ pub const SCHEMA_VERSION: u32 = 4;
 /// host OS/arch, hardware thread count, whether `threads` exceeds it,
 /// and the runtime-detected CPU feature set, so a BENCH_*.json can be
 /// interpreted long after the run that produced it.
-pub fn run_metadata_json(threads: usize) -> String {
+pub(crate) fn run_metadata_json(threads: usize) -> String {
     let nproc = std::thread::available_parallelism().map_or(1, usize::from);
     let cpu_features = detected_cpu_features()
         .iter()
@@ -83,7 +83,7 @@ fn detected_cpu_features() -> Vec<&'static str> {
 }
 
 /// Escape a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -101,7 +101,7 @@ pub fn json_escape(s: &str) -> String {
 
 /// Render an `f64` as a JSON value; non-finite values become `null`
 /// (JSON has no Infinity/NaN).
-pub fn json_f64(v: f64) -> String {
+fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v:.6}")
     } else {
@@ -110,7 +110,7 @@ pub fn json_f64(v: f64) -> String {
 }
 
 /// Render a slice of `f64` as a JSON array of [`json_f64`] values.
-pub fn json_f64_array(xs: &[f64]) -> String {
+fn json_f64_array(xs: &[f64]) -> String {
     let body = xs.iter().map(|&v| json_f64(v)).collect::<Vec<_>>().join(", ");
     format!("[{body}]")
 }

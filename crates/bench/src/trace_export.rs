@@ -25,6 +25,8 @@
 use pq_traits::telemetry::Event;
 use pq_traits::trace::{PhaseKind, RecordData, TraceData};
 
+use crate::metrics::json_escape;
+
 /// Target number of time slices for the attribution matrices. The
 /// actual count can be one higher from rounding at the tail.
 const TARGET_SLICES: usize = 50;
@@ -32,20 +34,6 @@ const TARGET_SLICES: usize = 50;
 /// A thread whose op rate in a slice falls below `median / STALL_FACTOR`
 /// (its own median over active slices) is flagged as stalled there.
 const STALL_FACTOR: f64 = 10.0;
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Nanoseconds to the trace-event microsecond unit, keeping sub-µs
 /// precision as a decimal fraction.

@@ -39,11 +39,6 @@ pub enum QueueSpec {
     Mound,
     /// Braginsky-style chunk-based priority queue (FAA deletions).
     Cbpq,
-    /// GlobalLock over a pairing heap instead of a binary heap
-    /// (substrate ablation).
-    GlobalLockPairing,
-    /// MultiQueue over pairing-heap sub-queues (substrate ablation).
-    MultiQueuePairing(usize),
     /// Flat-combining wrapper over the sequential binary heap (the
     /// `globallock` substrate) with insert buffers of the given size
     /// (1 = unbuffered, strict).
@@ -84,8 +79,6 @@ impl QueueSpec {
             QueueSpec::Hunt => "hunt".to_owned(),
             QueueSpec::Mound => "mound".to_owned(),
             QueueSpec::Cbpq => "cbpq".to_owned(),
-            QueueSpec::GlobalLockPairing => "globallock-pairing".to_owned(),
-            QueueSpec::MultiQueuePairing(c) => format!("multiqueue-pairing-c{c}"),
             QueueSpec::SprayBatch(m) => format!("spray-b{m}"),
             QueueSpec::FcGlobalLock(m) => {
                 if *m <= 1 {
@@ -116,7 +109,6 @@ impl QueueSpec {
             "hunt" => Some(QueueSpec::Hunt),
             "mound" => Some(QueueSpec::Mound),
             "cbpq" => Some(QueueSpec::Cbpq),
-            "globallock-pairing" => Some(QueueSpec::GlobalLockPairing),
             "fc-globallock" => Some(QueueSpec::FcGlobalLock(1)),
             "fc-mound" => Some(QueueSpec::FcMound(1)),
             _ => {
@@ -155,8 +147,6 @@ impl QueueSpec {
                     }
                 } else if let Some(k) = s.strip_prefix("slsm") {
                     k.parse().ok().map(QueueSpec::Slsm)
-                } else if let Some(c) = s.strip_prefix("multiqueue-pairing-c") {
-                    c.parse().ok().map(QueueSpec::MultiQueuePairing)
                 } else if let Some(c) = s.strip_prefix("multiqueue-c") {
                     c.parse().ok().map(QueueSpec::MultiQueue)
                 } else {
@@ -170,7 +160,8 @@ impl QueueSpec {
     /// the buffered and sticky variants: the list the checker matrix and
     /// the cross-queue contract tests run over. Append only —
     /// `checker_stress` derives each cell's chaos seed from its position,
-    /// so reordering changes every later cell's schedule.
+    /// so reordering or removing an entry changes every later cell's
+    /// schedule.
     pub fn registry() -> Vec<QueueSpec> {
         vec![
             QueueSpec::Klsm(16),
@@ -183,8 +174,6 @@ impl QueueSpec {
             QueueSpec::MultiQueue(4),
             QueueSpec::MqSticky(4, 8, 8),
             QueueSpec::GlobalLock,
-            QueueSpec::GlobalLockPairing,
-            QueueSpec::MultiQueuePairing(4),
             QueueSpec::Hunt,
             QueueSpec::Mound,
             QueueSpec::Cbpq,
@@ -286,24 +275,15 @@ macro_rules! with_queue {
                 $body
             }
             $crate::QueueSpec::MultiQueue(c) => {
-                let $q = ::multiqueue_pq::MultiQueue::<::seqpq::BinaryHeap>::new(c, threads);
+                let $q = ::multiqueue_pq::MultiQueue::new(c, threads);
                 $body
             }
             $crate::QueueSpec::MqSticky(c, s, m) => {
-                let $q =
-                    ::multiqueue_pq::MultiQueueSticky::<::seqpq::BinaryHeap>::new(c, threads, s, m);
-                $body
-            }
-            $crate::QueueSpec::MultiQueuePairing(c) => {
-                let $q = ::multiqueue_pq::MultiQueue::<::seqpq::PairingHeap>::new(c, threads);
+                let $q = ::multiqueue_pq::MultiQueueSticky::new(c, threads, s, m);
                 $body
             }
             $crate::QueueSpec::GlobalLock => {
-                let $q = ::lockedpq::GlobalLockPq::<::seqpq::BinaryHeap>::new();
-                $body
-            }
-            $crate::QueueSpec::GlobalLockPairing => {
-                let $q = ::lockedpq::GlobalLockPq::<::seqpq::PairingHeap>::new();
+                let $q = ::lockedpq::GlobalLockPq::new();
                 $body
             }
             $crate::QueueSpec::Hunt => {
@@ -365,8 +345,6 @@ mod tests {
             QueueSpec::Hunt,
             QueueSpec::Mound,
             QueueSpec::Cbpq,
-            QueueSpec::GlobalLockPairing,
-            QueueSpec::MultiQueuePairing(4),
             QueueSpec::SprayBatch(16),
             QueueSpec::FcGlobalLock(1),
             QueueSpec::FcGlobalLock(16),

@@ -584,7 +584,7 @@ mod tests {
         cfg.reps = 2;
         let r = run_throughput_with(
             "custom-mq",
-            || multiqueue_pq::MultiQueue::<seqpq::BinaryHeap>::new(2, 2),
+            || multiqueue_pq::MultiQueue::new(2, 2),
             &cfg,
         );
         assert_eq!(r.queue, "custom-mq");

@@ -1,9 +1,6 @@
 //! GlobalLock baseline (`globallock`): a sequential priority queue behind
-//! a single mutex.
-//!
-//! Generic over the sequential substrate so the substrate choice can be
-//! ablated (the paper's C++ benchmarks use `std::priority_queue`, our
-//! [`BinaryHeap`]; a pairing heap is the alternative).
+//! a single mutex — our [`BinaryHeap`], as the paper's C++ benchmarks
+//! use `std::priority_queue`.
 
 use parking_lot::Mutex;
 
@@ -12,16 +9,14 @@ use seqpq::BinaryHeap;
 
 /// Sequential priority queue protected by a global lock.
 #[derive(Debug, Default)]
-pub struct GlobalLockPq<P: SequentialPq + Default + Send = BinaryHeap> {
-    heap: Mutex<P>,
+pub struct GlobalLockPq {
+    heap: Mutex<BinaryHeap>,
 }
 
-impl<P: SequentialPq + Default + Send> GlobalLockPq<P> {
+impl GlobalLockPq {
     /// Create an empty queue.
     pub fn new() -> Self {
-        Self {
-            heap: Mutex::new(P::default()),
-        }
+        Self::default()
     }
 
     /// Number of stored items (takes the lock).
@@ -33,9 +28,7 @@ impl<P: SequentialPq + Default + Send> GlobalLockPq<P> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
 
-impl GlobalLockPq<BinaryHeap> {
     /// Create an empty queue with pre-reserved capacity.
     pub fn with_capacity(cap: usize) -> Self {
         Self {
@@ -45,11 +38,11 @@ impl GlobalLockPq<BinaryHeap> {
 }
 
 /// Per-thread handle for [`GlobalLockPq`].
-pub struct GlobalLockHandle<'a, P: SequentialPq + Default + Send> {
-    q: &'a GlobalLockPq<P>,
+pub struct GlobalLockHandle<'a> {
+    q: &'a GlobalLockPq,
 }
 
-impl<P: SequentialPq + Default + Send> PqHandle for GlobalLockHandle<'_, P> {
+impl PqHandle for GlobalLockHandle<'_> {
     fn insert(&mut self, key: Key, value: Value) {
         self.q.heap.lock().insert(key, value);
     }
@@ -59,13 +52,10 @@ impl<P: SequentialPq + Default + Send> PqHandle for GlobalLockHandle<'_, P> {
     }
 }
 
-impl<P: SequentialPq + Default + Send> ConcurrentPq for GlobalLockPq<P> {
-    type Handle<'a>
-        = GlobalLockHandle<'a, P>
-    where
-        P: 'a;
+impl ConcurrentPq for GlobalLockPq {
+    type Handle<'a> = GlobalLockHandle<'a>;
 
-    fn handle(&self) -> GlobalLockHandle<'_, P> {
+    fn handle(&self) -> GlobalLockHandle<'_> {
         GlobalLockHandle { q: self }
     }
 
@@ -74,7 +64,7 @@ impl<P: SequentialPq + Default + Send> ConcurrentPq for GlobalLockPq<P> {
     }
 }
 
-impl<P: SequentialPq + Default + Send> RelaxationBound for GlobalLockPq<P> {
+impl RelaxationBound for GlobalLockPq {
     fn rank_bound(&self, _threads: usize) -> Option<u64> {
         Some(0) // strict semantics
     }
@@ -83,11 +73,10 @@ impl<P: SequentialPq + Default + Send> RelaxationBound for GlobalLockPq<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seqpq::PairingHeap;
 
     #[test]
     fn sequential_order() {
-        let q = GlobalLockPq::<BinaryHeap>::new();
+        let q = GlobalLockPq::new();
         let mut h = q.handle();
         for k in [4u64, 1, 3, 2] {
             h.insert(k, k);
@@ -97,19 +86,8 @@ mod tests {
     }
 
     #[test]
-    fn pairing_heap_substrate_behaves_identically() {
-        let q = GlobalLockPq::<PairingHeap>::new();
-        let mut h = q.handle();
-        for k in [9u64, 5, 7, 1] {
-            h.insert(k, k);
-        }
-        let out: Vec<Key> = std::iter::from_fn(|| h.delete_min()).map(|i| i.key).collect();
-        assert_eq!(out, vec![1, 5, 7, 9]);
-    }
-
-    #[test]
     fn concurrent_strictness_and_conservation() {
-        let q = std::sync::Arc::new(GlobalLockPq::<BinaryHeap>::new());
+        let q = std::sync::Arc::new(GlobalLockPq::new());
         {
             let mut h = q.handle();
             for k in 0..10_000u64 {

@@ -39,32 +39,29 @@ pub(crate) const EMPTY_MIN: u64 = u64::MAX;
 // so every queue crate shares one mixing function.
 pub(crate) use pq_traits::seed::{handle_seed, DEFAULT_QUEUE_SEED as DEFAULT_SEED};
 
-pub(crate) struct SubQueue<P: SequentialPq> {
-    pub(crate) heap: Mutex<P>,
+pub(crate) struct SubQueue {
+    pub(crate) heap: Mutex<BinaryHeap>,
     /// Key of the heap's current minimum, or [`EMPTY_MIN`]. Updated under
     /// the lock after every mutation; read lock-free by the two-choice
     /// deletion.
     pub(crate) min_key: AtomicU64,
 }
 
-impl<P: SequentialPq + Default> SubQueue<P> {
+impl SubQueue {
     pub(crate) fn new() -> Self {
         Self {
-            heap: Mutex::new(P::default()),
+            heap: Mutex::new(BinaryHeap::new()),
             min_key: AtomicU64::new(EMPTY_MIN),
         }
     }
 
-    pub(crate) fn publish_min(&self, heap: &P) {
+    pub(crate) fn publish_min(&self, heap: &BinaryHeap) {
         let key = heap.peek_min().map_or(EMPTY_MIN, |it| it.key);
         self.min_key.store(key, Ordering::Release);
     }
 }
 
-pub(crate) fn make_sub_queues<P: SequentialPq + Default>(
-    c: usize,
-    threads: usize,
-) -> Box<[CachePadded<SubQueue<P>>]> {
+pub(crate) fn make_sub_queues(c: usize, threads: usize) -> Box<[CachePadded<SubQueue>]> {
     let n = (c * threads).max(2);
     (0..n).map(|_| CachePadded::new(SubQueue::new())).collect()
 }
@@ -77,10 +74,7 @@ pub(crate) fn make_sub_queues<P: SequentialPq + Default>(
 ///
 /// Shared by the plain [`MultiQueue`] and the slow path of
 /// [`MultiQueueSticky`].
-pub(crate) fn two_choice_pop<P: SequentialPq + Default>(
-    queues: &[CachePadded<SubQueue<P>>],
-    rng: &mut SmallRng,
-) -> Option<Item> {
+pub(crate) fn two_choice_pop(queues: &[CachePadded<SubQueue>], rng: &mut SmallRng) -> Option<Item> {
     let n = queues.len();
     let mut empty_rounds = 0;
     for _ in 0..2 * n {
@@ -131,15 +125,15 @@ pub(crate) fn two_choice_pop<P: SequentialPq + Default>(
     None
 }
 
-/// The MultiQueue relaxed priority queue, generic over the sequential
-/// substrate (ablation; defaults to the paper's binary heap).
-pub struct MultiQueue<P: SequentialPq + Default + Send = BinaryHeap> {
-    queues: Box<[CachePadded<SubQueue<P>>]>,
+/// The MultiQueue relaxed priority queue over the paper's binary-heap
+/// sub-queues.
+pub struct MultiQueue {
+    queues: Box<[CachePadded<SubQueue>]>,
     seed: u64,
     handle_ctr: AtomicU64,
 }
 
-impl<P: SequentialPq + Default + Send> MultiQueue<P> {
+impl MultiQueue {
     /// Create a MultiQueue with `c * threads` sub-queues (the paper's
     /// benchmarks use `c = 4`) and the default deterministic seed.
     pub fn new(c: usize, threads: usize) -> Self {
@@ -154,13 +148,6 @@ impl<P: SequentialPq + Default + Send> MultiQueue<P> {
             seed,
             handle_ctr: AtomicU64::new(0),
         }
-    }
-
-    /// Fallback constructor for callers that *want* run-to-run variation:
-    /// draws the queue seed from OS entropy instead of the deterministic
-    /// default.
-    pub fn with_entropy(c: usize, threads: usize) -> Self {
-        Self::with_seed(c, threads, SmallRng::from_entropy().gen())
     }
 
     /// Number of sub-queues.
@@ -192,7 +179,7 @@ impl<P: SequentialPq + Default + Send> MultiQueue<P> {
     }
 }
 
-impl<P: SequentialPq + Default + Send> std::fmt::Debug for MultiQueue<P> {
+impl std::fmt::Debug for MultiQueue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MultiQueue")
             .field("sub_queues", &self.queues.len())
@@ -201,12 +188,12 @@ impl<P: SequentialPq + Default + Send> std::fmt::Debug for MultiQueue<P> {
 }
 
 /// Per-thread handle for [`MultiQueue`].
-pub struct MultiQueueHandle<'a, P: SequentialPq + Default + Send = BinaryHeap> {
-    q: &'a MultiQueue<P>,
+pub struct MultiQueueHandle<'a> {
+    q: &'a MultiQueue,
     rng: SmallRng,
 }
 
-impl<P: SequentialPq + Default + Send> PqHandle for MultiQueueHandle<'_, P> {
+impl PqHandle for MultiQueueHandle<'_> {
     fn insert(&mut self, key: Key, value: Value) {
         self.q.insert_impl(key, value, &mut self.rng);
     }
@@ -216,13 +203,10 @@ impl<P: SequentialPq + Default + Send> PqHandle for MultiQueueHandle<'_, P> {
     }
 }
 
-impl<P: SequentialPq + Default + Send> ConcurrentPq for MultiQueue<P> {
-    type Handle<'a>
-        = MultiQueueHandle<'a, P>
-    where
-        P: 'a;
+impl ConcurrentPq for MultiQueue {
+    type Handle<'a> = MultiQueueHandle<'a>;
 
-    fn handle(&self) -> MultiQueueHandle<'_, P> {
+    fn handle(&self) -> MultiQueueHandle<'_> {
         let idx = self.handle_ctr.fetch_add(1, Ordering::Relaxed);
         MultiQueueHandle {
             q: self,
@@ -235,7 +219,7 @@ impl<P: SequentialPq + Default + Send> ConcurrentPq for MultiQueue<P> {
     }
 }
 
-impl<P: SequentialPq + Default + Send> RelaxationBound for MultiQueue<P> {
+impl RelaxationBound for MultiQueue {
     fn rank_bound(&self, _threads: usize) -> Option<u64> {
         None // no analysed bound (paper: "no complete analysis exists")
     }
@@ -247,7 +231,7 @@ mod tests {
 
     #[test]
     fn drains_everything() {
-        let q = MultiQueue::<BinaryHeap>::new(4, 2);
+        let q = MultiQueue::new(4, 2);
         let mut h = q.handle();
         for k in 0..1000u64 {
             h.insert(k, k);
@@ -260,15 +244,15 @@ mod tests {
 
     #[test]
     fn sub_queue_count_is_c_times_p() {
-        assert_eq!(MultiQueue::<BinaryHeap>::new(4, 8).sub_queue_count(), 32);
-        assert_eq!(MultiQueue::<BinaryHeap>::new(2, 3).sub_queue_count(), 6);
+        assert_eq!(MultiQueue::new(4, 8).sub_queue_count(), 32);
+        assert_eq!(MultiQueue::new(2, 3).sub_queue_count(), 6);
         // Lower bound of 2 so two-choice always has two queues.
-        assert_eq!(MultiQueue::<BinaryHeap>::new(1, 1).sub_queue_count(), 2);
+        assert_eq!(MultiQueue::new(1, 1).sub_queue_count(), 2);
     }
 
     #[test]
     fn returns_small_but_not_necessarily_min() {
-        let q = MultiQueue::<BinaryHeap>::new(4, 1);
+        let q = MultiQueue::new(4, 1);
         let mut h = q.handle();
         for k in 0..100u64 {
             h.insert(k, k);
@@ -281,14 +265,14 @@ mod tests {
 
     #[test]
     fn empty_queue() {
-        let q = MultiQueue::<BinaryHeap>::new(4, 2);
+        let q = MultiQueue::new(4, 2);
         let mut h = q.handle();
         assert_eq!(h.delete_min(), None);
     }
 
     #[test]
     fn single_item_roundtrip() {
-        let q = MultiQueue::<BinaryHeap>::new(4, 4);
+        let q = MultiQueue::new(4, 4);
         let mut h = q.handle();
         h.insert(9, 1);
         assert_eq!(h.delete_min(), Some(Item::new(9, 1)));
@@ -298,7 +282,7 @@ mod tests {
     #[test]
     fn concurrent_conservation() {
         use std::sync::atomic::AtomicUsize;
-        let q = std::sync::Arc::new(MultiQueue::<BinaryHeap>::new(4, 4));
+        let q = std::sync::Arc::new(MultiQueue::new(4, 4));
         let deleted = AtomicUsize::new(0);
         std::thread::scope(|s| {
             for t in 0..4u64 {
@@ -328,7 +312,7 @@ mod tests {
 
     #[test]
     fn no_duplicate_values_under_concurrency() {
-        let q = std::sync::Arc::new(MultiQueue::<BinaryHeap>::new(2, 4));
+        let q = std::sync::Arc::new(MultiQueue::new(2, 4));
         {
             let mut h = q.handle();
             for v in 0..4000u64 {
@@ -363,7 +347,7 @@ mod tests {
         // delete orders (the pre-fix `from_entropy` seeding made quality
         // runs unreproducible).
         let run = |seed: u64| -> Vec<Item> {
-            let q = MultiQueue::<BinaryHeap>::with_seed(4, 2, seed);
+            let q = MultiQueue::with_seed(4, 2, seed);
             let mut h = q.handle();
             for k in 0..500u64 {
                 h.insert((k * 37) % 251, k);
@@ -377,7 +361,7 @@ mod tests {
 
     #[test]
     fn successive_handles_get_distinct_rng_streams() {
-        let q = MultiQueue::<BinaryHeap>::new(4, 2);
+        let q = MultiQueue::new(4, 2);
         let mut h1 = q.handle();
         let mut h2 = q.handle();
         // Same insert sequence through two handles sprays to different
@@ -395,7 +379,7 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
         #[test]
         fn prop_multiset_preserved(keys in proptest::collection::vec(0u64..500, 1..300)) {
-            let q = MultiQueue::<BinaryHeap>::new(4, 2);
+            let q = MultiQueue::new(4, 2);
             let mut h = q.handle();
             for (i, &k) in keys.iter().enumerate() {
                 h.insert(k, i as u64);

@@ -39,15 +39,14 @@ use rand::{Rng, SeedableRng};
 
 use pq_traits::telemetry;
 use pq_traits::{ConcurrentPq, Item, Key, PqHandle, RelaxationBound, SequentialPq, Value};
-use seqpq::BinaryHeap;
 
 use crate::{handle_seed, make_sub_queues, two_choice_pop, SubQueue, DEFAULT_SEED, EMPTY_MIN};
 
 /// Sticky, buffered MultiQueue: the [`crate::MultiQueue`] hot path
 /// re-engineered with queue stickiness (`s`) and per-handle
 /// insertion/deletion buffers (`m`).
-pub struct MultiQueueSticky<P: SequentialPq + Default + Send = BinaryHeap> {
-    queues: Box<[CachePadded<SubQueue<P>>]>,
+pub struct MultiQueueSticky {
+    queues: Box<[CachePadded<SubQueue>]>,
     c: usize,
     stickiness: usize,
     batch: usize,
@@ -55,7 +54,7 @@ pub struct MultiQueueSticky<P: SequentialPq + Default + Send = BinaryHeap> {
     handle_ctr: AtomicU64,
 }
 
-impl<P: SequentialPq + Default + Send> MultiQueueSticky<P> {
+impl MultiQueueSticky {
     /// Create a sticky MultiQueue with `c * threads` sub-queues, handle
     /// stickiness `s` (operations between re-rolls; `1` = re-roll every
     /// op like the plain MultiQueue) and buffer capacity `m` (items per
@@ -100,7 +99,7 @@ impl<P: SequentialPq + Default + Send> MultiQueueSticky<P> {
     }
 }
 
-impl<P: SequentialPq + Default + Send> std::fmt::Debug for MultiQueueSticky<P> {
+impl std::fmt::Debug for MultiQueueSticky {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MultiQueueSticky")
             .field("sub_queues", &self.queues.len())
@@ -115,8 +114,8 @@ impl<P: SequentialPq + Default + Send> std::fmt::Debug for MultiQueueSticky<P> {
 /// Holds the sticky sub-queue pair, the RNG, and the insertion/deletion
 /// buffers. Dropping the handle flushes both buffers back into the
 /// shared structure.
-pub struct MultiQueueStickyHandle<'a, P: SequentialPq + Default + Send = BinaryHeap> {
-    q: &'a MultiQueueSticky<P>,
+pub struct MultiQueueStickyHandle<'a> {
+    q: &'a MultiQueueSticky,
     rng: SmallRng,
     /// The two sticky sub-queue indices (deletes sample both; insert
     /// flushes go to `sticky[0]`).
@@ -135,7 +134,7 @@ fn insert_sorted_desc(buf: &mut Vec<Item>, item: Item) {
     buf.insert(pos, item);
 }
 
-impl<P: SequentialPq + Default + Send> MultiQueueStickyHandle<'_, P> {
+impl MultiQueueStickyHandle<'_> {
     /// Pick a fresh sticky pair and reset the stickiness budget.
     fn re_roll(&mut self) {
         let n = self.q.queues.len();
@@ -236,7 +235,7 @@ impl<P: SequentialPq + Default + Send> MultiQueueStickyHandle<'_, P> {
     }
 }
 
-impl<P: SequentialPq + Default + Send> PqHandle for MultiQueueStickyHandle<'_, P> {
+impl PqHandle for MultiQueueStickyHandle<'_> {
     fn insert(&mut self, key: Key, value: Value) {
         insert_sorted_desc(&mut self.ins_buf, Item::new(key, value));
         if self.ins_buf.len() >= self.q.batch {
@@ -296,19 +295,16 @@ impl<P: SequentialPq + Default + Send> PqHandle for MultiQueueStickyHandle<'_, P
     }
 }
 
-impl<P: SequentialPq + Default + Send> Drop for MultiQueueStickyHandle<'_, P> {
+impl Drop for MultiQueueStickyHandle<'_> {
     fn drop(&mut self) {
         self.flush();
     }
 }
 
-impl<P: SequentialPq + Default + Send> ConcurrentPq for MultiQueueSticky<P> {
-    type Handle<'a>
-        = MultiQueueStickyHandle<'a, P>
-    where
-        P: 'a;
+impl ConcurrentPq for MultiQueueSticky {
+    type Handle<'a> = MultiQueueStickyHandle<'a>;
 
-    fn handle(&self) -> MultiQueueStickyHandle<'_, P> {
+    fn handle(&self) -> MultiQueueStickyHandle<'_> {
         let idx = self.handle_ctr.fetch_add(1, Ordering::Relaxed);
         let mut h = MultiQueueStickyHandle {
             q: self,
@@ -334,7 +330,7 @@ impl<P: SequentialPq + Default + Send> ConcurrentPq for MultiQueueSticky<P> {
     }
 }
 
-impl<P: SequentialPq + Default + Send> RelaxationBound for MultiQueueSticky<P> {
+impl RelaxationBound for MultiQueueSticky {
     fn rank_bound(&self, _threads: usize) -> Option<u64> {
         // Like the plain MultiQueue, no analysed bound; empirically the
         // rank error adds O(m·P) buffered items and O(s) staleness on
@@ -354,7 +350,7 @@ mod tests {
     #[test]
     fn drains_everything_across_the_ablation_grid() {
         for (s, m) in grid() {
-            let q = MultiQueueSticky::<BinaryHeap>::new(4, 2, s, m);
+            let q = MultiQueueSticky::new(4, 2, s, m);
             let mut h = q.handle();
             for k in 0..1000u64 {
                 h.insert(k, k);
@@ -369,14 +365,14 @@ mod tests {
 
     #[test]
     fn empty_queue_returns_none() {
-        let q = MultiQueueSticky::<BinaryHeap>::new(4, 2, 8, 16);
+        let q = MultiQueueSticky::new(4, 2, 8, 16);
         let mut h = q.handle();
         assert_eq!(h.delete_min(), None);
     }
 
     #[test]
     fn flush_returns_number_of_committed_items() {
-        let q = MultiQueueSticky::<BinaryHeap>::new(4, 2, 8, 16);
+        let q = MultiQueueSticky::new(4, 2, 8, 16);
         let mut h = q.handle();
         for k in 0..5u64 {
             h.insert(k, k);
@@ -389,7 +385,7 @@ mod tests {
 
     #[test]
     fn single_item_roundtrip_despite_buffering() {
-        let q = MultiQueueSticky::<BinaryHeap>::new(4, 4, 64, 16);
+        let q = MultiQueueSticky::new(4, 4, 64, 16);
         let mut h = q.handle();
         h.insert(9, 1);
         // The item sits in the insertion buffer (m=16 not reached); the
@@ -400,7 +396,7 @@ mod tests {
 
     #[test]
     fn flush_commits_buffered_inserts() {
-        let q = MultiQueueSticky::<BinaryHeap>::new(4, 2, 8, 16);
+        let q = MultiQueueSticky::new(4, 2, 8, 16);
         let mut h = q.handle();
         for k in 0..10u64 {
             h.insert(k, k);
@@ -413,7 +409,7 @@ mod tests {
 
     #[test]
     fn drop_flushes_buffers_no_item_lost() {
-        let q = MultiQueueSticky::<BinaryHeap>::new(4, 2, 8, 16);
+        let q = MultiQueueSticky::new(4, 2, 8, 16);
         {
             let mut h = q.handle();
             for k in 0..100u64 {
@@ -439,7 +435,7 @@ mod tests {
         // One handle buffers large keys; a second handle inserts a
         // smaller key. The first handle's next delete must not blindly
         // serve its buffer.
-        let q = MultiQueueSticky::<BinaryHeap>::new(2, 1, 64, 4);
+        let q = MultiQueueSticky::new(2, 1, 64, 4);
         let mut h1 = q.handle();
         for k in [50u64, 60, 70, 80] {
             h1.insert(k, k);
@@ -459,7 +455,7 @@ mod tests {
     fn concurrent_conservation_with_buffers() {
         use std::sync::atomic::AtomicUsize;
         for (s, m) in [(8usize, 16usize), (64, 16)] {
-            let q = std::sync::Arc::new(MultiQueueSticky::<BinaryHeap>::new(4, 4, s, m));
+            let q = std::sync::Arc::new(MultiQueueSticky::new(4, 4, s, m));
             let deleted = AtomicUsize::new(0);
             std::thread::scope(|sc| {
                 for t in 0..4u64 {
@@ -495,7 +491,7 @@ mod tests {
 
     #[test]
     fn no_duplicate_values_under_concurrency() {
-        let q = std::sync::Arc::new(MultiQueueSticky::<BinaryHeap>::new(2, 4, 8, 16));
+        let q = std::sync::Arc::new(MultiQueueSticky::new(2, 4, 8, 16));
         {
             let mut h = q.handle();
             for v in 0..4000u64 {
@@ -533,7 +529,7 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let run = |seed: u64| -> Vec<Item> {
-            let q = MultiQueueSticky::<BinaryHeap>::with_seed(4, 2, 8, 16, seed);
+            let q = MultiQueueSticky::with_seed(4, 2, 8, 16, seed);
             let mut h = q.handle();
             for k in 0..500u64 {
                 h.insert((k * 37) % 251, k);
@@ -546,7 +542,7 @@ mod tests {
     #[test]
     fn s1_m1_degenerates_to_plain_behavior() {
         // Unbuffered config: every insert is immediately visible.
-        let q = MultiQueueSticky::<BinaryHeap>::new(4, 2, 1, 1);
+        let q = MultiQueueSticky::new(4, 2, 1, 1);
         let mut h = q.handle();
         for k in 0..50u64 {
             h.insert(k, k);
@@ -562,7 +558,7 @@ mod tests {
             s in 1usize..32,
             m in 1usize..24,
         ) {
-            let q = MultiQueueSticky::<BinaryHeap>::new(4, 2, s, m);
+            let q = MultiQueueSticky::new(4, 2, s, m);
             let mut h = q.handle();
             for (i, &k) in keys.iter().enumerate() {
                 h.insert(k, i as u64);

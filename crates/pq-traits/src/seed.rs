@@ -12,7 +12,7 @@
 //! across runs.
 
 /// Default queue seed used by `new()` constructors. Benchmarks that
-/// want run-to-run variation opt in via a `with_entropy()`-style
+/// want run-to-run variation pass their own seed to a `with_seed`
 /// constructor instead.
 pub const DEFAULT_QUEUE_SEED: u64 = 0x5EED_4D51;
 

@@ -4,8 +4,8 @@
 //! sorting-style benchmarks) found implicit 4-ary heaps the strongest
 //! simple priority queue on modern hardware: a wider node fans out the
 //! tree, shortening sift paths and packing siblings into one cache line.
-//! Used as a substrate ablation next to [`crate::BinaryHeap`] and
-//! [`crate::PairingHeap`].
+//! `perf_ledger` records its sequential cost (`seqpq.dary_heap.op_ns`)
+//! next to [`crate::BinaryHeap`] and [`crate::PairingHeap`].
 
 use pq_traits::{Item, Key, SequentialPq, Value};
 

@@ -2,8 +2,9 @@
 //!
 //! Larkin, Sen and Tarjan's "back-to-basics" study (cited by the paper as
 //! the sorting-style benchmark precedent) found pairing heaps competitive
-//! with binary heaps; we provide one so the MultiQueue/GlobalLock
-//! substrate can be ablated (see `crates/bench/benches/ablation.rs`).
+//! with binary heaps. No concurrent queue runs on it; `perf_ledger`
+//! records its sequential cost (`seqpq.pairing_heap.op_ns`) beside the
+//! binary heap's.
 //!
 //! Arena-based implementation: nodes live in a `Vec` and are addressed by
 //! index, with a free list for reuse. This avoids per-node allocation and

@@ -3,8 +3,6 @@
 use std::time::Duration;
 
 use pq_traits::Item;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 use crate::keys::{KeyDistribution, KeyGen};
 
@@ -123,11 +121,6 @@ impl BenchConfig {
     /// values encoding a unique id ≥ `value_base`.
     pub fn prefill_items(&self, value_base: u64) -> Vec<Item> {
         prefill_items(self.key_dist, self.seed, self.prefill, value_base)
-    }
-
-    /// Deterministic RNG for auxiliary decisions of rep `rep`.
-    pub fn rep_rng(&self, rep: usize) -> SmallRng {
-        SmallRng::seed_from_u64(self.seed.wrapping_add(rep as u64 * 0x9E37_79B9))
     }
 }
 

@@ -68,8 +68,10 @@ pub struct KeyDistribution {
 }
 
 impl KeyDistribution {
-    /// Uniform keys over `bits`-bit integers.
+    /// Uniform keys over `bits`-bit integers. Panics unless
+    /// `bits < 64`: a width is a bit count, not a range size.
     pub const fn uniform(bits: u32) -> Self {
+        assert!(bits < 64, "key width is a bit count below 64");
         Self {
             bits,
             shape: KeyShape::Uniform,
@@ -78,8 +80,9 @@ impl KeyDistribution {
     }
 
     /// Independent keys with the given non-uniform shape over `bits`
-    /// bits.
+    /// bits. Panics unless `bits < 64`.
     pub const fn shaped(shape: KeyShape, bits: u32) -> Self {
+        assert!(bits < 64, "key width is a bit count below 64");
         Self {
             bits,
             shape,
@@ -207,11 +210,6 @@ impl KeyGen {
     pub fn observe_delete(&mut self, key: Key) {
         self.last_deleted = key;
     }
-
-    /// Operations generated so far.
-    pub fn ops_generated(&self) -> u64 {
-        self.op_num
-    }
 }
 
 #[cfg(test)]
@@ -227,6 +225,14 @@ mod tests {
                 assert!(k < (1u64 << bits), "{k} out of {bits}-bit range");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "key width is a bit count below 64")]
+    fn key_width_of_64_bits_or_more_is_refused() {
+        // A range size passed as a width: 2^20 "bits" used to yield
+        // full-width keys with bit 0 always clear.
+        let _ = KeyDistribution::uniform(1 << 20);
     }
 
     #[test]

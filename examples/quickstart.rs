@@ -49,7 +49,7 @@ fn main() {
     println!("items remaining after mixed phase: {remaining}");
 
     // Relaxed order: consecutive deletions are *approximately* sorted.
-    let strict = lockedpq::GlobalLockPq::<seqpq::BinaryHeap>::new();
+    let strict = lockedpq::GlobalLockPq::new();
     let mut h = strict.handle();
     for k in [5u64, 3, 9, 1] {
         h.insert(k, k);

@@ -4,15 +4,15 @@
 #     stickiness/buffering grid (s ∈ {1, 8, 64} × m ∈ {1, 16}) on the
 #     uniform workload; writes BENCH_multiqueue.json, the structured
 #     per-cell export, at the repository root;
-#   * batch_ablation — flat-combining A/B gate (FC_MIN_SPEEDUP) plus the
-#     insert-buffer size frontier; writes BENCH_flat_combining.json;
+#   * figures / quality --metrics — the insert-buffer size frontier,
+#     m ∈ {1, 4, 16, 64} across the seven buffering families plus the
+#     plain locked queues the fc wrapper delegates for; writes
+#     BENCH_flat_combining.json (throughput + latency) and
+#     BENCH_flat_combining_rank.json (rank error);
+#   * instr_overhead — built with --features trace, gates an actively
+#     recording flight recorder at TRACE_MAX_OVERHEAD_PCT (default 5)
+#     percent of plain throughput;
 #   * checker_stress — one chaos cell plus the mutation tests;
-#   * instr_overhead — asserts the Instrumented wrapper costs less than
-#     INSTR_MAX_OVERHEAD_PCT (default 5) percent of plain throughput,
-#     guarding the per-handle sharded-counter design against regressions
-#     that reintroduce false sharing; a second invocation built with
-#     --features trace additionally gates an actively-recording flight
-#     recorder at TRACE_MAX_OVERHEAD_PCT (default 5) percent;
 #   * figures --metrics with telemetry on — produces
 #     artifacts/metrics_smoke.json, the same export with the queues'
 #     event counters, that CI uploads as an artifact;
@@ -36,17 +36,7 @@ if (( THREADS > NPROC )); then
     echo "warning: THREADS=$THREADS exceeds nproc=$NPROC; results are oversubscribed (time-sliced), not scaling" >&2
 fi
 DURATION_MS="${2:-1000}"
-INSTR_MAX_OVERHEAD_PCT="${INSTR_MAX_OVERHEAD_PCT:-5}"
 TRACE_MAX_OVERHEAD_PCT="${TRACE_MAX_OVERHEAD_PCT:-5}"
-# Floor for the flat-combining A/B gate: geomean of the per-round
-# fc-vs-plain throughput ratios across both pairs (fc-globallock vs
-# globallock, fc-mound vs mound). The fc-mound pair carries the win —
-# the combiner drives the mound's exclusive-access paths, eliding all
-# per-node locking — measuring 1.6–1.9x even on one core; the
-# fc-globallock pair is a wash against an uncontended std mutex
-# (0.93–0.99x). Acceptance target is 1.1; default 1.0 so noisy shared
-# runners only fail on a real regression.
-FC_MIN_SPEEDUP="${FC_MIN_SPEEDUP:-1.0}"
 
 echo "== multiqueue vs. mq-sticky stickiness/buffer grid =="
 cargo run -p pq-bench --release --offline --bin figures -- \
@@ -56,35 +46,40 @@ cargo run -p pq-bench --release --offline --bin figures -- \
     --duration-ms "$DURATION_MS" \
     --metrics BENCH_multiqueue.json
 
-echo "== flat-combining A/B + batch ablation (gates ${FC_MIN_SPEEDUP}x plain locked) =="
-# Interleaved A/B of each flat-combining queue against its plain locked
-# counterpart plus the m ∈ {1,4,16,64} batch-size frontier across the
-# batching families; writes BENCH_flat_combining.json (see
-# crates/bench/src/bin/batch_ablation.rs and EXPERIMENTS.md "Flat
-# combining and batch-size ablation"). Exits non-zero if the fc-vs-plain
-# geomean speedup falls below FC_MIN_SPEEDUP.
-cargo run -p pq-bench --release --offline --bin batch_ablation -- \
+echo "== insert-buffer size frontier (throughput, latency, rank error) =="
+# Every buffering family at m ∈ {1, 4, 16, 64} (m = 1 is the bare
+# queue), plus plain globallock and mound so the fc-vs-plain ratio reads
+# off the same file (EXPERIMENTS.md "Flat combining and batch-size
+# ablation"). perf_ledger gates mops.fc-mound / mops.globallock.
+FRONTIER=""
+for family in mq-sticky-s8-m klsm128-b klsm4096-b dlsm-b spray-b fc-globallock-b fc-mound-b; do
+    for m in 1 4 16 64; do
+        FRONTIER+="$family$m,"
+    done
+done
+FRONTIER+="globallock,mound"
+cargo run -p pq-bench --release --offline --bin figures -- \
+    --experiment fig4a \
+    --queues "$FRONTIER" \
     --threads "$THREADS" \
+    --prefill 50000 \
     --duration-ms "$DURATION_MS" \
-    --min-speedup "$FC_MIN_SPEEDUP" \
-    --out BENCH_flat_combining.json
-
-echo "== instrumentation overhead (limit ${INSTR_MAX_OVERHEAD_PCT}%) =="
-cargo run -p pq-bench --release --offline --bin instr_overhead -- \
+    --metrics BENCH_flat_combining.json
+cargo run -p pq-bench --release --offline --bin quality -- \
+    --experiment fig4a \
+    --queues "$FRONTIER" \
     --threads "$THREADS" \
-    --duration-ms "$DURATION_MS" \
-    --max-overhead-pct "$INSTR_MAX_OVERHEAD_PCT"
+    --prefill 50000 \
+    --ops-per-thread 10000 \
+    --metrics BENCH_flat_combining_rank.json
 
 echo "== flight-recorder overhead (trace feature, limit ${TRACE_MAX_OVERHEAD_PCT}%) =="
-# Same A/B binary built with the trace feature: adds an arm that runs
-# with the flight recorder actively capturing batch spans and gates it
-# at TRACE_MAX_OVERHEAD_PCT percent of plain throughput, so the
-# batch-granularity span design (no extra clock reads in the hot loop)
-# cannot silently regress.
+# A/B of plain throughput against a run with the flight recorder
+# actively capturing batch spans, so the batch-granularity span design
+# (no extra clock reads in the hot loop) cannot silently regress.
 cargo run -p pq-bench --release --offline --features trace --bin instr_overhead -- \
     --threads "$THREADS" \
     --duration-ms "$DURATION_MS" \
-    --max-overhead-pct "$INSTR_MAX_OVERHEAD_PCT" \
     --max-trace-overhead-pct "$TRACE_MAX_OVERHEAD_PCT"
 
 echo "== semantic checker smoke (one chaos cell + mutation tests) =="

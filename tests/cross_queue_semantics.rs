@@ -88,11 +88,6 @@ fn strict_queues_return_exact_minimum_sequentially() {
 #[test]
 fn names_match_registry() {
     for spec in QueueSpec::registry() {
-        // The substrate ablations are the same queue type over another
-        // heap; the type names itself without the substrate.
-        if matches!(spec, QueueSpec::GlobalLockPairing | QueueSpec::MultiQueuePairing(_)) {
-            continue;
-        }
         let name = with_queue!(spec, 1, q => q.name());
         assert_eq!(name, spec.name(), "queue self-name diverges from registry");
     }

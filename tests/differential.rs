@@ -16,7 +16,6 @@ fn strict_specs() -> Vec<QueueSpec> {
     vec![
         QueueSpec::Linden,
         QueueSpec::GlobalLock,
-        QueueSpec::GlobalLockPairing,
         QueueSpec::Hunt,
         QueueSpec::Mound,
         QueueSpec::Cbpq,
@@ -39,7 +38,6 @@ fn relaxed_specs() -> Vec<QueueSpec> {
         QueueSpec::Spray,
         QueueSpec::SprayBatch(16),
         QueueSpec::MultiQueue(4),
-        QueueSpec::MultiQueuePairing(2),
         QueueSpec::MqSticky(4, 8, 8),
         QueueSpec::MqSticky(4, 64, 16),
     ]

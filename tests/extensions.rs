@@ -102,27 +102,6 @@ fn strict_survey_queues_have_zero_rank_single_thread() {
 }
 
 #[test]
-fn pairing_substrate_variants_match_binary_heap_semantics() {
-    for (a, b) in [
-        (QueueSpec::GlobalLock, QueueSpec::GlobalLockPairing),
-        (QueueSpec::MultiQueue(4), QueueSpec::MultiQueuePairing(4)),
-    ] {
-        let c = cfg(Workload::Uniform, KeyDistribution::uniform(16), 2);
-        let ra = run_quality(a, &c);
-        let rb = run_quality(b, &c);
-        // Same discipline, different substrate: rank-error profile must
-        // be in the same regime (both strict-ish or both multiqueue-ish).
-        let ratio = (ra.rank.mean + 1.0) / (rb.rank.mean + 1.0);
-        assert!(
-            (0.05..20.0).contains(&ratio),
-            "{a} vs {b}: rank means diverge ({} vs {})",
-            ra.rank.mean,
-            rb.rank.mean
-        );
-    }
-}
-
-#[test]
 fn instrumented_wrapper_counts_under_concurrency() {
     // 4 worker handles plus the final drain handle.
     let q = Instrumented::new(klsm::Klsm::new(64, 5));

@@ -122,7 +122,7 @@ fn mq_sticky_conserves_items_across_flush_and_handle_drop() {
     use pq_traits::{ConcurrentPq, PqHandle};
     let threads = 4usize;
     let per_thread = 3_000u64;
-    let q = multiqueue_pq::MultiQueueSticky::<seqpq::BinaryHeap>::new(4, threads, 8, 16);
+    let q = multiqueue_pq::MultiQueueSticky::new(4, threads, 8, 16);
     let delivered = std::sync::Mutex::new(Vec::<u64>::new());
     std::thread::scope(|scope| {
         for t in 0..threads as u64 {

@@ -14,7 +14,7 @@ use pq_traits::{ConcurrentPq, Instrumented};
 use workloads::config::StopCondition;
 use workloads::{BenchConfig, KeyDistribution, Workload};
 
-type Mq = multiqueue_pq::MultiQueue<seqpq::BinaryHeap>;
+type Mq = multiqueue_pq::MultiQueue;
 
 /// Delegating adapter so the test can keep each repetition's
 /// [`Instrumented`] queue alive (and readable) after
@@ -88,7 +88,7 @@ fn instrumented_counts_reconcile_with_harness_op_counts() {
 fn telemetry_disabled_records_nothing_through_queues() {
     use pq_traits::PqHandle;
 
-    let q = multiqueue_pq::MultiQueueSticky::<seqpq::BinaryHeap>::new(4, 1, 8, 16);
+    let q = multiqueue_pq::MultiQueueSticky::new(4, 1, 8, 16);
     let mut h = q.handle();
     for k in 0..100u64 {
         h.insert(k, k);
@@ -112,7 +112,7 @@ mod events {
     #[test]
     fn sticky_buffer_flush_items_match_committed_inserts() {
         let before = telemetry::snapshot();
-        let q = multiqueue_pq::MultiQueueSticky::<seqpq::BinaryHeap>::new(4, 2, 8, 16);
+        let q = multiqueue_pq::MultiQueueSticky::new(4, 2, 8, 16);
         let mut h = q.handle();
         for k in 0..10u64 {
             h.insert(k, k);
