@@ -123,7 +123,7 @@ pub struct GridArgs {
     pub seed: u64,
     /// `--metrics <path>`: structured per-cell JSON export.
     pub metrics: Option<String>,
-    /// `--trace <path>`: flight-recorder export (`trace` feature).
+    /// `--trace <path>`: flight-recorder export.
     pub trace: Option<String>,
     /// `--csv`: `figures` prints CSV instead of its table.
     pub csv: bool,
@@ -208,9 +208,6 @@ impl GridArgs {
                 "--chart" => self.chart = true,
                 _ => return argv.unknown(),
             }
-        }
-        if self.trace.is_some() && !trace::compiled() {
-            return Err("--trace requires building with --features trace".to_owned());
         }
         if let Some(selected) = selected {
             self.experiments = selected;

@@ -23,7 +23,6 @@
 
 use harness::{Histogram, LatencyResult, QualityResult, ThroughputResult};
 use pq_traits::telemetry::{self, EventCounts};
-use pq_traits::trace;
 
 /// Version of the exported JSON layout, bumped on breaking shape
 /// changes. Version 2 added the `meta` block itself; version 3 added
@@ -31,8 +30,9 @@ use pq_traits::trace;
 /// LSM kernel-tier field (the LSM has one kernel configuration) and
 /// added the host's `nproc` and the `oversubscribed` flag, so a
 /// recorded run states whether its thread count was scaling or
-/// time-slicing.
-pub const SCHEMA_VERSION: u32 = 4;
+/// time-slicing; version 5 dropped `features.trace` (the flight
+/// recorder is compiled into every build and switched on by `--trace`).
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// The self-describing `meta` object every JSON export embeds: schema
 /// version, compiled feature switches, worker thread count (0 when the
@@ -51,12 +51,11 @@ pub(crate) fn run_metadata_json(threads: usize) -> String {
         "{{\"schema_version\": {SCHEMA_VERSION}, \"os\": \"{}\", \"arch\": \"{}\", \
          \"threads\": {threads}, \"nproc\": {nproc}, \"oversubscribed\": {}, \
          \"cpu_features\": [{cpu_features}], \
-         \"features\": {{\"telemetry\": {}, \"trace\": {}}}}}",
+         \"features\": {{\"telemetry\": {}}}}}",
         json_escape(std::env::consts::OS),
         json_escape(std::env::consts::ARCH),
         threads > nproc,
         telemetry::enabled(),
-        trace::compiled(),
     )
 }
 
@@ -537,7 +536,8 @@ mod tests {
         // The meta thread count is the max over cells (2 here).
         assert!(json.contains("\"threads\": 2,"), "meta threads missing: {json}");
         assert!(json.contains(&format!("\"telemetry\": {}", telemetry::enabled())));
-        assert!(json.contains(&format!("\"trace\": {}", trace::compiled())));
+        // v5: the always-compiled flight recorder is not a feature.
+        assert!(!json.contains("\"trace\""), "meta still lists trace: {json}");
         assert!(json.contains("\"cpu_features\": ["), "meta cpu_features missing: {json}");
         // v4: the host's hardware thread count and whether the run
         // exceeded it.

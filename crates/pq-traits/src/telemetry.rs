@@ -20,9 +20,10 @@
 //! [`record`]/[`record_n`] compiles to nothing. What always remains is
 //! the [`crate::chaos`] hook — one relaxed load per call site — so the
 //! schedule-perturbation stress layer can piggyback on these same
-//! slow-path markers without a separate build. Check [`enabled`]
-//! before paying for anything (e.g. pre-computing a count to pass to
-//! [`record_n`]).
+//! slow-path markers without a separate build. With the feature on,
+//! every counted event is also forwarded to the [`crate::trace`]
+//! flight recorder. Check [`enabled`] before paying for anything (e.g.
+//! pre-computing a count to pass to [`record_n`]).
 //!
 //! Counters are process-global and **monotone** — there is deliberately
 //! no reset. A reset would be a process-wide write racing every other
@@ -216,18 +217,16 @@ pub fn record(event: Event) {
 /// Record `n` occurrences of `event` (bulk counters such as
 /// [`Event::DlsmSpyItems`]).
 ///
-/// Also the hook point for the schedule-perturbation shim and the
-/// flight recorder: every recorded event is forwarded to
-/// [`crate::chaos::on_event`] (one relaxed load while chaos is
-/// disabled; may inject a yield or bounded spin during a stress run)
-/// and to [`crate::trace::on_event`] (nothing without the `trace`
-/// feature; one relaxed load while no trace is recording). Both hooks
-/// are independent of the `telemetry` feature — the events mark the
-/// interesting slow-path transitions either way.
+/// Also the hook point for the schedule-perturbation shim: every
+/// recorded event is forwarded to [`crate::chaos::on_event`] (one
+/// relaxed load while chaos is disabled; may inject a yield or bounded
+/// spin during a stress run) whether or not the `telemetry` feature is
+/// on — the events mark the interesting slow-path transitions either
+/// way. The flight recorder ([`crate::trace::on_event`]) sees the event
+/// only where it is counted, i.e. with the feature on.
 #[inline]
 pub fn record_n(event: Event, n: u64) {
     crate::chaos::on_event(event);
-    crate::trace::on_event(event, n);
     imp::record_n(event, n);
 }
 
@@ -245,12 +244,12 @@ pub fn record_quiet(event: Event) {
 }
 
 /// As [`record_quiet`], recording `n` occurrences. Quiet only with
-/// respect to chaos: the flight recorder still sees the event, since a
-/// timeline without the sequential-path events (pool hits, kernel
-/// invocations) would misattribute their cost to neighboring spans.
+/// respect to chaos: with the `telemetry` feature the flight recorder
+/// still sees the event, since a timeline without the sequential-path
+/// events (pool hits, kernel invocations) would misattribute their
+/// cost to neighboring spans.
 #[inline]
 pub fn record_n_quiet(event: Event, n: u64) {
-    crate::trace::on_event(event, n);
     imp::record_n(event, n);
 }
 
@@ -304,6 +303,7 @@ mod imp {
 
     #[inline]
     pub fn record_n(event: Event, n: u64) {
+        crate::trace::on_event(event, n);
         // The shard is thread-private for writes; the atomic only makes
         // cross-thread snapshot reads sound, it is never contended.
         SHARD.with(|s| {

@@ -15,25 +15,25 @@
 //! * **Spans** ([`SpanOp`]) — op begin/end intervals. The latency
 //!   harness records one span per operation (it already timestamps each
 //!   op); the throughput and quality harnesses record one
-//!   [`SpanOp::OpBatch`] span per 64-op batch (one extra clock read per
-//!   batch, so tracing stays inside the `instr_overhead` budget); the
-//!   window-end `flush` is recorded individually.
-//! * **Telemetry events** — every [`crate::telemetry::Event`] recorded
-//!   through [`crate::telemetry::record_n`] is forwarded here with its
-//!   count, reusing the same hook points as [`crate::chaos`]: the queue
-//!   crates need no new instrumentation sites.
+//!   [`SpanOp::OpBatch`] span per 64-op batch, reusing the clock read
+//!   the tick sampler already takes per batch; the window-end `flush` is
+//!   recorded individually.
+//! * **Telemetry events** — with the `telemetry` feature, every
+//!   [`crate::telemetry::Event`] the counters record is forwarded here
+//!   with its count, so the queue crates need no instrumentation sites
+//!   of their own. Without the feature the queues' event sites compile
+//!   to nothing and timelines hold spans and phases only.
 //! * **Phase markers** ([`PhaseKind`]) — the harness marks
 //!   prefill/measure/rep boundaries so events can be attributed to
 //!   warm-up vs. steady state.
 //!
-//! # Zero-cost discipline
+//! # Run-time switch
 //!
-//! Everything is gated on the `trace` cargo feature, with the same
-//! contract as `telemetry`: without the feature every function here is
-//! an empty `#[inline]` body and [`active`] is a `const false`, so call
-//! sites (and the argument computations they guard) compile to nothing.
-//! With the feature on but no trace running, the cost is one relaxed
-//! load per call.
+//! Like [`crate::chaos`], the recorder is always compiled and switched
+//! on at run time: [`start`] activates it, [`stop`] deactivates and
+//! drains it. While no trace is recording, every recording function
+//! costs one relaxed load and a predicted branch, and the harness hot
+//! loop tests a local flag taken once per worker.
 //!
 //! # Ring semantics
 //!
@@ -57,12 +57,13 @@
 //! clock-normalized timeline without cross-thread clock games;
 //! [`stop`] rebases them to the cell's [`start`] call.
 
+use core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::telemetry::Event;
 
 /// Number of `u64` words per ring slot (timestamp, payload, tag).
-#[cfg_attr(not(feature = "trace"), allow(dead_code))]
 const SLOT_WORDS: usize = 3;
 
 /// Default ring capacity in records (per thread). At 24 bytes a record
@@ -86,7 +87,6 @@ pub enum SpanOp {
 
 impl SpanOp {
     /// All span kinds, indexed by discriminant.
-    #[cfg_attr(not(feature = "trace"), allow(dead_code))]
     const ALL: [SpanOp; 4] = [
         SpanOp::Insert,
         SpanOp::DeleteMin,
@@ -118,7 +118,6 @@ pub enum PhaseKind {
 
 impl PhaseKind {
     /// All phase kinds, indexed by discriminant.
-    #[cfg_attr(not(feature = "trace"), allow(dead_code))]
     const ALL: [PhaseKind; 3] = [PhaseKind::Prefill, PhaseKind::Measure, PhaseKind::RepEnd];
 
     /// Stable snake_case name.
@@ -203,24 +202,97 @@ impl TraceData {
         self.timelines.iter().map(|t| t.dropped).sum()
     }
 
-    /// True when nothing was recorded (always the case without the
-    /// `trace` feature).
+    /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.timelines.is_empty()
     }
 }
 
-/// `true` when the crate was built with the `trace` cargo feature.
-pub const fn compiled() -> bool {
-    cfg!(feature = "trace")
+/// One thread's ring. The first slot word starts a fresh cache line
+/// (the atomics before it are written by the owner / reader only
+/// around cell boundaries, never on the record fast path).
+#[repr(align(64))]
+struct Ring {
+    /// Process-wide registration index (stable thread id).
+    id: u64,
+    /// Capacity in records.
+    capacity: usize,
+    /// Total records ever written by the owner (monotone).
+    head: AtomicU64,
+    /// `head` value at the most recent [`start`]; records before it
+    /// belong to earlier cells and are excluded from drains.
+    mark: AtomicU64,
+    /// `capacity * SLOT_WORDS` words of record storage.
+    slots: Box<[AtomicU64]>,
+}
+
+impl Ring {
+    fn new(id: u64, capacity: usize) -> Self {
+        let capacity = capacity.max(1);
+        Self {
+            id,
+            capacity,
+            head: AtomicU64::new(0),
+            mark: AtomicU64::new(0),
+            slots: (0..capacity * SLOT_WORDS).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    /// Owner-only: append one record, overwriting the oldest when
+    /// full.
+    #[inline]
+    fn push(&self, w0: u64, w1: u64, w2: u64) {
+        let head = self.head.load(Ordering::Relaxed);
+        let base = (head as usize % self.capacity) * SLOT_WORDS;
+        self.slots[base].store(w0, Ordering::Relaxed);
+        self.slots[base + 1].store(w1, Ordering::Relaxed);
+        self.slots[base + 2].store(w2, Ordering::Relaxed);
+        // Release-publish the slot words before the new head.
+        self.head.store(head + 1, Ordering::Release);
+    }
+}
+
+/// Whether a trace is currently recording.
+static ACTIVE: AtomicBool = AtomicBool::new(false);
+/// Ring capacity for rings created after the latest [`start`].
+static CAPACITY: AtomicU64 = AtomicU64::new(DEFAULT_CAPACITY as u64);
+/// Epoch nanoseconds of the latest [`start`] (drain rebases to it).
+static START_NS: AtomicU64 = AtomicU64::new(0);
+/// Registration order of recording threads (stable thread ids).
+static RING_CTR: AtomicU64 = AtomicU64::new(0);
+
+fn epoch() -> Instant {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    *EPOCH.get_or_init(Instant::now)
+}
+
+fn registry() -> &'static Mutex<Vec<Arc<Ring>>> {
+    static REGISTRY: OnceLock<Mutex<Vec<Arc<Ring>>>> = OnceLock::new();
+    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
+}
+
+thread_local! {
+    static RING: Arc<Ring> = {
+        let ring = Arc::new(Ring::new(
+            RING_CTR.fetch_add(1, Ordering::Relaxed),
+            CAPACITY.load(Ordering::Relaxed) as usize,
+        ));
+        registry().lock().unwrap().push(Arc::clone(&ring));
+        ring
+    };
+}
+
+/// Record classes packed into a slot's tag word (bits 0–7).
+mod class {
+    pub const SPAN: u64 = 1;
+    pub const EVENT: u64 = 2;
+    pub const PHASE: u64 = 3;
 }
 
 /// `true` while a trace is being recorded ([`start`] … [`stop`]).
-/// Always `false` (and const-foldable) without the `trace` feature, so
-/// `if trace::active() { … }` guards compile away entirely.
 #[inline]
 pub fn active() -> bool {
-    imp::active()
+    ACTIVE.load(Ordering::Relaxed)
 }
 
 /// Nanoseconds since the process-wide trace epoch. Use sparingly — one
@@ -228,7 +300,7 @@ pub fn active() -> bool {
 /// [`Instant`]s.
 #[inline]
 pub fn now_ns() -> u64 {
-    imp::now_ns()
+    epoch().elapsed().as_nanos() as u64
 }
 
 /// Begin recording a traced cell: ring contents recorded before this
@@ -237,37 +309,122 @@ pub fn now_ns() -> u64 {
 /// (existing rings keep theirs); pass [`DEFAULT_CAPACITY`] when in
 /// doubt.
 pub fn start(capacity: usize) {
-    imp::start(capacity);
+    CAPACITY.store(capacity.max(1) as u64, Ordering::Relaxed);
+    for ring in registry().lock().unwrap().iter() {
+        ring.mark
+            .store(ring.head.load(Ordering::Acquire), Ordering::Relaxed);
+    }
+    START_NS.store(now_ns(), Ordering::Relaxed);
+    ACTIVE.store(true, Ordering::Release);
 }
 
 /// Stop recording and drain every thread's ring into a merged,
 /// clock-normalized [`TraceData`] (timestamps rebased to the matching
-/// [`start`]). Rings of exited threads are released. Returns an empty
-/// `TraceData` without the `trace` feature.
+/// [`start`]). Rings of exited threads are released.
 pub fn stop() -> TraceData {
-    imp::stop()
+    ACTIVE.store(false, Ordering::Release);
+    let start_ns = START_NS.load(Ordering::Relaxed);
+    let mut registry = registry().lock().unwrap();
+    let mut timelines = Vec::new();
+    for ring in registry.iter() {
+        let head = ring.head.load(Ordering::Acquire);
+        let mark = ring.mark.load(Ordering::Relaxed);
+        let since = head.saturating_sub(mark);
+        if since == 0 {
+            continue;
+        }
+        let available = since.min(ring.capacity as u64);
+        let dropped = since - available;
+        let mut records = Vec::with_capacity(available as usize);
+        for seq in (head - available)..head {
+            let base = (seq as usize % ring.capacity) * SLOT_WORDS;
+            let w0 = ring.slots[base].load(Ordering::Relaxed);
+            let w1 = ring.slots[base + 1].load(Ordering::Relaxed);
+            let w2 = ring.slots[base + 2].load(Ordering::Relaxed);
+            if let Some(r) = decode(w0, w1, w2, start_ns) {
+                records.push(r);
+            }
+        }
+        timelines.push(ThreadTimeline {
+            thread: ring.id,
+            records,
+            dropped,
+        });
+    }
+    // Rings whose thread exited (strong count 1: only the registry
+    // holds them) have been fully drained; release their memory so
+    // repeated traced cells don't accumulate dead rings.
+    registry.retain(|ring| Arc::strong_count(ring) > 1);
+    timelines.sort_by_key(|t| t.thread);
+    TraceData { timelines }
+}
+
+/// Decode one slot; `None` for never-written or torn slots.
+fn decode(w0: u64, w1: u64, w2: u64, start_ns: u64) -> Option<TraceRecord> {
+    let sub = ((w2 >> 8) & 0xFF) as usize;
+    let data = match w2 & 0xFF {
+        class::SPAN => RecordData::Span {
+            op: *SpanOp::ALL.get(sub)?,
+            dur_ns: w1,
+            ops: (w2 >> 32) as u32,
+        },
+        class::EVENT => RecordData::Event {
+            event: *Event::ALL.get(sub)?,
+            count: w1,
+        },
+        class::PHASE => RecordData::Phase {
+            phase: *PhaseKind::ALL.get(sub)?,
+            rep: (w2 >> 32) as u32,
+        },
+        _ => return None,
+    };
+    Some(TraceRecord {
+        ts_ns: w0.saturating_sub(start_ns),
+        data,
+    })
+}
+
+#[inline]
+fn push(w0: u64, w1: u64, w2: u64) {
+    RING.with(|ring| ring.push(w0, w1, w2));
 }
 
 /// Record an operation span from `begin_ns` to `end_ns` (both from
 /// [`now_ns`] / [`Anchor::ns_at`]) covering `ops` queue operations.
 #[inline]
 pub fn span(op: SpanOp, begin_ns: u64, end_ns: u64, ops: u32) {
-    imp::span(op, begin_ns, end_ns, ops);
+    if !active() {
+        return;
+    }
+    push(
+        begin_ns,
+        end_ns.saturating_sub(begin_ns),
+        class::SPAN | ((op as u64) << 8) | ((ops as u64) << 32),
+    );
 }
 
 /// Record a harness phase boundary for repetition `rep`.
 #[inline]
 pub fn phase(kind: PhaseKind, rep: u32) {
-    imp::phase(kind, rep);
+    if !active() {
+        return;
+    }
+    push(
+        now_ns(),
+        0,
+        class::PHASE | ((kind as u64) << 8) | ((rep as u64) << 32),
+    );
 }
 
-/// Telemetry hook: called by [`crate::telemetry::record_n`] (and its
-/// quiet variants) for every recorded event, mirroring the
-/// [`crate::chaos::on_event`] hook. One relaxed load while no trace is
-/// running; nothing at all without the `trace` feature.
+/// Telemetry hook: called for every event the `telemetry` counters
+/// record (see [`crate::telemetry::record_n`]). One relaxed load while
+/// no trace is running.
 #[inline]
 pub fn on_event(event: Event, n: u64) {
-    imp::on_event(event, n);
+    if !active() {
+        return;
+    }
+    push(now_ns(), n, class::EVENT | ((event as u64) << 8));
 }
 
 /// Converts thread-local [`Instant`]s to epoch nanoseconds with **no
@@ -304,245 +461,6 @@ impl Anchor {
     }
 }
 
-/// Record classes packed into a slot's tag word (bits 0–7).
-#[cfg_attr(not(feature = "trace"), allow(dead_code))]
-mod class {
-    pub const SPAN: u64 = 1;
-    pub const EVENT: u64 = 2;
-    pub const PHASE: u64 = 3;
-}
-
-#[cfg(feature = "trace")]
-mod imp {
-    use super::*;
-    use core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex, OnceLock};
-
-    /// One thread's ring. The first slot word starts a fresh cache line
-    /// (the atomics before it are written by the owner / reader only
-    /// around cell boundaries, never on the record fast path).
-    #[repr(align(64))]
-    struct Ring {
-        /// Process-wide registration index (stable thread id).
-        id: u64,
-        /// Capacity in records.
-        capacity: usize,
-        /// Total records ever written by the owner (monotone).
-        head: AtomicU64,
-        /// `head` value at the most recent [`start`]; records before it
-        /// belong to earlier cells and are excluded from drains.
-        mark: AtomicU64,
-        /// `capacity * SLOT_WORDS` words of record storage.
-        slots: Box<[AtomicU64]>,
-    }
-
-    impl Ring {
-        fn new(id: u64, capacity: usize) -> Self {
-            let capacity = capacity.max(1);
-            Self {
-                id,
-                capacity,
-                head: AtomicU64::new(0),
-                mark: AtomicU64::new(0),
-                slots: (0..capacity * SLOT_WORDS).map(|_| AtomicU64::new(0)).collect(),
-            }
-        }
-
-        /// Owner-only: append one record, overwriting the oldest when
-        /// full.
-        #[inline]
-        fn push(&self, w0: u64, w1: u64, w2: u64) {
-            let head = self.head.load(Ordering::Relaxed);
-            let base = (head as usize % self.capacity) * SLOT_WORDS;
-            self.slots[base].store(w0, Ordering::Relaxed);
-            self.slots[base + 1].store(w1, Ordering::Relaxed);
-            self.slots[base + 2].store(w2, Ordering::Relaxed);
-            // Release-publish the slot words before the new head.
-            self.head.store(head + 1, Ordering::Release);
-        }
-    }
-
-    /// Whether a trace is currently recording.
-    static ACTIVE: AtomicBool = AtomicBool::new(false);
-    /// Ring capacity for rings created after the latest [`start`].
-    static CAPACITY: AtomicU64 = AtomicU64::new(super::DEFAULT_CAPACITY as u64);
-    /// Epoch nanoseconds of the latest [`start`] (drain rebases to it).
-    static START_NS: AtomicU64 = AtomicU64::new(0);
-    /// Registration order of recording threads (stable thread ids).
-    static RING_CTR: AtomicU64 = AtomicU64::new(0);
-
-    fn epoch() -> Instant {
-        static EPOCH: OnceLock<Instant> = OnceLock::new();
-        *EPOCH.get_or_init(Instant::now)
-    }
-
-    fn registry() -> &'static Mutex<Vec<Arc<Ring>>> {
-        static REGISTRY: OnceLock<Mutex<Vec<Arc<Ring>>>> = OnceLock::new();
-        REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-    }
-
-    thread_local! {
-        static RING: Arc<Ring> = {
-            let ring = Arc::new(Ring::new(
-                RING_CTR.fetch_add(1, Ordering::Relaxed),
-                CAPACITY.load(Ordering::Relaxed) as usize,
-            ));
-            registry().lock().unwrap().push(Arc::clone(&ring));
-            ring
-        };
-    }
-
-    #[inline]
-    pub fn active() -> bool {
-        ACTIVE.load(Ordering::Relaxed)
-    }
-
-    #[inline]
-    pub fn now_ns() -> u64 {
-        epoch().elapsed().as_nanos() as u64
-    }
-
-    pub fn start(capacity: usize) {
-        CAPACITY.store(capacity.max(1) as u64, Ordering::Relaxed);
-        for ring in registry().lock().unwrap().iter() {
-            ring.mark
-                .store(ring.head.load(Ordering::Acquire), Ordering::Relaxed);
-        }
-        START_NS.store(now_ns(), Ordering::Relaxed);
-        ACTIVE.store(true, Ordering::Release);
-    }
-
-    pub fn stop() -> TraceData {
-        ACTIVE.store(false, Ordering::Release);
-        let start_ns = START_NS.load(Ordering::Relaxed);
-        let mut registry = registry().lock().unwrap();
-        let mut timelines = Vec::new();
-        for ring in registry.iter() {
-            let head = ring.head.load(Ordering::Acquire);
-            let mark = ring.mark.load(Ordering::Relaxed);
-            let since = head.saturating_sub(mark);
-            if since == 0 {
-                continue;
-            }
-            let available = since.min(ring.capacity as u64);
-            let dropped = since - available;
-            let mut records = Vec::with_capacity(available as usize);
-            for seq in (head - available)..head {
-                let base = (seq as usize % ring.capacity) * SLOT_WORDS;
-                let w0 = ring.slots[base].load(Ordering::Relaxed);
-                let w1 = ring.slots[base + 1].load(Ordering::Relaxed);
-                let w2 = ring.slots[base + 2].load(Ordering::Relaxed);
-                if let Some(r) = decode(w0, w1, w2, start_ns) {
-                    records.push(r);
-                }
-            }
-            timelines.push(ThreadTimeline {
-                thread: ring.id,
-                records,
-                dropped,
-            });
-        }
-        // Rings whose thread exited (strong count 1: only the registry
-        // holds them) have been fully drained; release their memory so
-        // repeated traced cells don't accumulate dead rings.
-        registry.retain(|ring| Arc::strong_count(ring) > 1);
-        timelines.sort_by_key(|t| t.thread);
-        TraceData { timelines }
-    }
-
-    /// Decode one slot; `None` for never-written or torn slots.
-    fn decode(w0: u64, w1: u64, w2: u64, start_ns: u64) -> Option<TraceRecord> {
-        let sub = ((w2 >> 8) & 0xFF) as usize;
-        let data = match w2 & 0xFF {
-            class::SPAN => RecordData::Span {
-                op: *SpanOp::ALL.get(sub)?,
-                dur_ns: w1,
-                ops: (w2 >> 32) as u32,
-            },
-            class::EVENT => RecordData::Event {
-                event: *Event::ALL.get(sub)?,
-                count: w1,
-            },
-            class::PHASE => RecordData::Phase {
-                phase: *PhaseKind::ALL.get(sub)?,
-                rep: (w2 >> 32) as u32,
-            },
-            _ => return None,
-        };
-        Some(TraceRecord {
-            ts_ns: w0.saturating_sub(start_ns),
-            data,
-        })
-    }
-
-    #[inline]
-    fn push(w0: u64, w1: u64, w2: u64) {
-        RING.with(|ring| ring.push(w0, w1, w2));
-    }
-
-    #[inline]
-    pub fn span(op: SpanOp, begin_ns: u64, end_ns: u64, ops: u32) {
-        if !active() {
-            return;
-        }
-        push(
-            begin_ns,
-            end_ns.saturating_sub(begin_ns),
-            class::SPAN | ((op as u64) << 8) | ((ops as u64) << 32),
-        );
-    }
-
-    #[inline]
-    pub fn phase(kind: PhaseKind, rep: u32) {
-        if !active() {
-            return;
-        }
-        push(
-            now_ns(),
-            0,
-            class::PHASE | ((kind as u64) << 8) | ((rep as u64) << 32),
-        );
-    }
-
-    #[inline]
-    pub fn on_event(event: Event, n: u64) {
-        if !active() {
-            return;
-        }
-        push(now_ns(), n, class::EVENT | ((event as u64) << 8));
-    }
-}
-
-#[cfg(not(feature = "trace"))]
-mod imp {
-    use super::*;
-
-    #[inline(always)]
-    pub fn active() -> bool {
-        false
-    }
-
-    #[inline(always)]
-    pub fn now_ns() -> u64 {
-        0
-    }
-
-    pub fn start(_capacity: usize) {}
-
-    pub fn stop() -> TraceData {
-        TraceData::default()
-    }
-
-    #[inline(always)]
-    pub fn span(_op: SpanOp, _begin_ns: u64, _end_ns: u64, _ops: u32) {}
-
-    #[inline(always)]
-    pub fn phase(_kind: PhaseKind, _rep: u32) {}
-
-    #[inline(always)]
-    pub fn on_event(_event: Event, _n: u64) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -569,29 +487,13 @@ mod tests {
         assert_eq!(a.ns_at(base), a.base_ns());
     }
 
-    #[cfg(not(feature = "trace"))]
-    #[test]
-    fn disabled_records_nothing() {
-        assert!(!compiled());
-        assert!(!active());
-        start(64);
-        assert!(!active());
-        span(SpanOp::Insert, 0, 10, 1);
-        phase(PhaseKind::Measure, 0);
-        on_event(Event::MqEmptySample, 3);
-        let data = stop();
-        assert!(data.is_empty());
-        assert_eq!(data.dropped_total(), 0);
-        assert_eq!(data.records_total(), 0);
-    }
-
-    // The feature-gated tests drive the global recorder, so they run in
-    // one #[test] to avoid cross-test interference under the parallel
-    // test runner (same discipline as the chaos tests).
-    #[cfg(feature = "trace")]
+    // These tests drive the global recorder, so they run in one #[test]
+    // to avoid cross-test interference under the parallel test runner
+    // (same discipline as the chaos tests). Tests elsewhere in the crate
+    // may still record telemetry events from their own threads while a
+    // trace is active, so assertions look only at this test's threads.
     #[test]
     fn record_drain_roundtrip_overflow_and_multithread() {
-        assert!(compiled());
         assert!(!active(), "tracing must start disabled");
         // Records while inactive go nowhere.
         span(SpanOp::Insert, 0, 10, 1);
@@ -607,17 +509,18 @@ mod tests {
         phase(PhaseKind::RepEnd, 0);
         let data = stop();
         assert!(!active());
-        assert_eq!(data.dropped_total(), 0);
-        let mine: Vec<&TraceRecord> = data
+        // This thread's timeline is the one holding the batch span.
+        let mine = &data
             .timelines
             .iter()
-            .flat_map(|t| t.records.iter())
-            .collect();
+            .find(|t| {
+                t.records.iter().any(|r| {
+                    r.data == RecordData::Span { op: SpanOp::OpBatch, dur_ns: 100, ops: 64 }
+                })
+            })
+            .expect("this thread's timeline was drained")
+            .records;
         assert_eq!(mine.len(), 5, "all five records drained: {mine:?}");
-        assert!(mine.iter().any(|r| matches!(
-            r.data,
-            RecordData::Span { op: SpanOp::OpBatch, dur_ns: 100, ops: 64 }
-        )));
         assert!(mine.iter().any(|r| matches!(
             r.data,
             RecordData::Event { event: Event::SlsmPivotRebuild, count: 7 }
@@ -627,7 +530,7 @@ mod tests {
             RecordData::Phase { phase: PhaseKind::Prefill, rep: 0 }
         )));
         // Timestamps are rebased to the cell start.
-        for r in &mine {
+        for r in mine {
             assert!(r.ts_ns < 10_000_000_000, "ts {} not cell-relative", r.ts_ns);
         }
 

@@ -9,16 +9,13 @@
 #     plain locked queues the fc wrapper delegates for; writes
 #     BENCH_flat_combining.json (throughput + latency) and
 #     BENCH_flat_combining_rank.json (rank error);
-#   * instr_overhead — built with --features trace, gates an actively
-#     recording flight recorder at TRACE_MAX_OVERHEAD_PCT (default 5)
-#     percent of plain throughput;
 #   * checker_stress — one chaos cell plus the mutation tests;
-#   * figures --metrics with telemetry on — produces
+#   * figures --metrics --trace with telemetry on — produces
 #     artifacts/metrics_smoke.json, the same export with the queues'
-#     event counters, that CI uploads as an artifact;
-#   * figures --trace — produces artifacts/trace_smoke.json, a
-#     Chrome-trace-event flight-recorder export (one track per thread,
-#     loadable in Perfetto) that CI also uploads as an artifact.
+#     event counters, and artifacts/trace_smoke.json, a
+#     Chrome-trace-event flight-recorder export (one track per thread
+#     with op spans and event instants, loadable in Perfetto); CI
+#     uploads both as artifacts.
 #
 # Usage: scripts/bench_smoke.sh [THREADS] [DURATION_MS]
 # THREADS defaults to the host's hardware thread count; more than that
@@ -36,7 +33,6 @@ if (( THREADS > NPROC )); then
     echo "warning: THREADS=$THREADS exceeds nproc=$NPROC; results are oversubscribed (time-sliced), not scaling" >&2
 fi
 DURATION_MS="${2:-1000}"
-TRACE_MAX_OVERHEAD_PCT="${TRACE_MAX_OVERHEAD_PCT:-5}"
 
 echo "== multiqueue vs. mq-sticky stickiness/buffer grid =="
 cargo run -p pq-bench --release --offline --bin figures -- \
@@ -73,15 +69,6 @@ cargo run -p pq-bench --release --offline --bin quality -- \
     --ops-per-thread 10000 \
     --metrics BENCH_flat_combining_rank.json
 
-echo "== flight-recorder overhead (trace feature, limit ${TRACE_MAX_OVERHEAD_PCT}%) =="
-# A/B of plain throughput against a run with the flight recorder
-# actively capturing batch spans, so the batch-granularity span design
-# (no extra clock reads in the hot loop) cannot silently regress.
-cargo run -p pq-bench --release --offline --features trace --bin instr_overhead -- \
-    --threads "$THREADS" \
-    --duration-ms "$DURATION_MS" \
-    --max-trace-overhead-pct "$TRACE_MAX_OVERHEAD_PCT"
-
 echo "== semantic checker smoke (one chaos cell + mutation tests) =="
 # One strict and one relaxed queue through the recorded checker under
 # seeded schedule perturbation, plus the three broken-wrapper mutation
@@ -94,7 +81,10 @@ cargo run -p pq-bench --release --offline --bin checker_stress -- \
     --mutation-test \
     --metrics BENCH_checker_smoke.json
 
-echo "== metrics export smoke (telemetry on) =="
+echo "== metrics and flight-recorder export smoke (telemetry on) =="
+# Dropped-record counts are printed by the binary and embedded in the
+# trace export, so ring truncation is never silent (EXPERIMENTS.md
+# "Flight-recorder tracing").
 cargo run -p pq-bench --release --offline --features telemetry --bin figures -- \
     --experiment fig4a \
     --queues multiqueue,mq-sticky,klsm256,linden,dlsm,klsm128,klsm4096 \
@@ -102,19 +92,5 @@ cargo run -p pq-bench --release --offline --features telemetry --bin figures -- 
     --prefill 20000 \
     --duration-ms 250 \
     --reps 2 \
-    --metrics artifacts/metrics_smoke.json >/dev/null
-
-echo "== flight-recorder export smoke (trace on) =="
-# One short traced cell per queue at THREADS threads; writes
-# artifacts/trace_smoke.json, a Chrome-trace-event file loadable in
-# Perfetto with one track per worker thread (EXPERIMENTS.md
-# "Flight-recorder tracing"). Dropped-record counts are printed by the
-# binary and embedded in the export, so truncation is never silent.
-cargo run -p pq-bench --release --offline --features trace --bin figures -- \
-    --experiment fig4a \
-    --queues multiqueue,klsm256 \
-    --threads "$THREADS" \
-    --prefill 20000 \
-    --duration-ms 250 \
-    --reps 1 \
+    --metrics artifacts/metrics_smoke.json \
     --trace artifacts/trace_smoke.json >/dev/null
