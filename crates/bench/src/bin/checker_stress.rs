@@ -73,19 +73,6 @@ fn parse(mut argv: cli::Args) -> Result<Args, String> {
     Ok(args)
 }
 
-/// Fully linearizable strict queues: the only ones for which per-thread
-/// monotonicity may be asserted during the *concurrent* drain. Hunt,
-/// mound and cbpq are strict only up to in-flight operations.
-fn strict_drain(spec: &QueueSpec) -> bool {
-    matches!(
-        spec,
-        QueueSpec::Linden
-            | QueueSpec::GlobalLock
-            | QueueSpec::FcGlobalLock(1)
-            | QueueSpec::FcMound(1)
-    )
-}
-
 /// Run one cell twice under identical seeds; report any violation or
 /// determinism mismatch. Returns the first run's report.
 fn run_cell<F>(
@@ -255,7 +242,7 @@ fn main() {
                     workload,
                     key_dist,
                     seed: args.seed,
-                    strict_drain_check: strict_drain(spec),
+                    strict_drain_check: spec.strict_drain(),
                 };
                 // Per-cell chaos seed: mixed so cells see different
                 // schedules, but derived so the whole matrix replays

@@ -369,6 +369,7 @@ mod tests {
             ("--threads 2,0", "bad thread count '0'"),
             ("--frobnicate", "unknown argument '--frobnicate'"),
             ("--queues linden,nosuch", "unknown queue 'nosuch'"),
+            ("--queues klsm0", "unknown queue 'klsm0'"),
             ("--experiment fig99", "unknown experiment 'fig99'"),
             ("--machine venus", "unknown machine 'venus'"),
         ] {

@@ -9,22 +9,14 @@
 pub enum QueueSpec {
     /// k-LSM with the given relaxation parameter.
     Klsm(usize),
-    /// k-LSM with the given relaxation parameter behind
-    /// [`pq_traits::Buffered`] insert buffers of the given size (`<= 1`
-    /// = the bare queue, as for every `*Batch`/`Fc*` variant below).
-    KlsmBatch(usize, usize),
     /// Standalone distributed (thread-local) LSM.
     Dlsm,
-    /// Standalone DLSM with insert buffers of the given size.
-    DlsmBatch(usize),
     /// Standalone shared LSM with the given relaxation parameter.
     Slsm(usize),
     /// Lindén–Jonsson strict skiplist queue.
     Linden,
     /// SprayList.
     Spray,
-    /// SprayList with insert buffers of the given size.
-    SprayBatch(usize),
     /// MultiQueue with the given `c` (sub-queues = c·P).
     MultiQueue(usize),
     /// Sticky, buffered MultiQueue with `(c, s, m)`: sub-queues = c·P,
@@ -40,11 +32,13 @@ pub enum QueueSpec {
     /// Braginsky-style chunk-based priority queue (FAA deletions).
     Cbpq,
     /// Flat-combining wrapper over the sequential binary heap (the
-    /// `globallock` substrate) with insert buffers of the given size
-    /// (1 = unbuffered, strict).
-    FcGlobalLock(usize),
-    /// Flat-combining wrapper over the mound with insert buffers of the
-    /// given size (1 = unbuffered, strict).
+    /// `globallock` substrate).
+    FcGlobalLock,
+    /// Flat-combining wrapper over the mound. The field is not a
+    /// parameter: every `FcMound(_)` builds the same queue, and only
+    /// `FcMound(1)` parses (from `fc-mound`). It stays because the
+    /// frozen benchmark (`benchmark/src/job.rs`) matches
+    /// `QueueSpec::FcMound(1)`.
     FcMound(usize),
 }
 
@@ -53,9 +47,7 @@ impl QueueSpec {
     pub fn name(&self) -> String {
         match self {
             QueueSpec::Klsm(k) => format!("klsm{k}"),
-            QueueSpec::KlsmBatch(k, m) => format!("klsm{k}-b{m}"),
             QueueSpec::Dlsm => "dlsm".to_owned(),
-            QueueSpec::DlsmBatch(m) => format!("dlsm-b{m}"),
             QueueSpec::Slsm(k) => format!("slsm{k}"),
             QueueSpec::Linden => "linden".to_owned(),
             QueueSpec::Spray => "spray".to_owned(),
@@ -79,25 +71,15 @@ impl QueueSpec {
             QueueSpec::Hunt => "hunt".to_owned(),
             QueueSpec::Mound => "mound".to_owned(),
             QueueSpec::Cbpq => "cbpq".to_owned(),
-            QueueSpec::SprayBatch(m) => format!("spray-b{m}"),
-            QueueSpec::FcGlobalLock(m) => {
-                if *m <= 1 {
-                    "fc-globallock".to_owned()
-                } else {
-                    format!("fc-globallock-b{m}")
-                }
-            }
-            QueueSpec::FcMound(m) => {
-                if *m <= 1 {
-                    "fc-mound".to_owned()
-                } else {
-                    format!("fc-mound-b{m}")
-                }
-            }
+            QueueSpec::FcGlobalLock => "fc-globallock".to_owned(),
+            QueueSpec::FcMound(_) => "fc-mound".to_owned(),
         }
     }
 
-    /// Parse a name produced by [`QueueSpec::name`].
+    /// Parse a name produced by [`QueueSpec::name`]. Every numeric
+    /// parameter except the SLSM's `k` (where 0 is the strict SLSM) must
+    /// be positive: the constructors would panic on a zero `k` and clamp
+    /// a zero `c`, `s` or `m`, so the queue would run under another name.
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "dlsm" => Some(QueueSpec::Dlsm),
@@ -109,7 +91,7 @@ impl QueueSpec {
             "hunt" => Some(QueueSpec::Hunt),
             "mound" => Some(QueueSpec::Mound),
             "cbpq" => Some(QueueSpec::Cbpq),
-            "fc-globallock" => Some(QueueSpec::FcGlobalLock(1)),
+            "fc-globallock" => Some(QueueSpec::FcGlobalLock),
             "fc-mound" => Some(QueueSpec::FcMound(1)),
             _ => {
                 if let Some(rest) = s.strip_prefix("mq-sticky-") {
@@ -118,37 +100,21 @@ impl QueueSpec {
                     let mut parts = rest.split('-');
                     let mut part = parts.next()?;
                     if let Some(cv) = part.strip_prefix('c') {
-                        c = cv.parse().ok()?;
+                        c = positive(cv)?;
                         part = parts.next()?;
                     }
-                    let sv: usize = part.strip_prefix('s')?.parse().ok()?;
-                    let mv: usize = parts.next()?.strip_prefix('m')?.parse().ok()?;
+                    let sv = positive(part.strip_prefix('s')?)?;
+                    let mv = positive(parts.next()?.strip_prefix('m')?)?;
                     if parts.next().is_some() {
                         return None;
                     }
                     Some(QueueSpec::MqSticky(c, sv, mv))
-                } else if let Some(m) = s.strip_prefix("dlsm-b") {
-                    parse_batch(m).map(QueueSpec::DlsmBatch)
-                } else if let Some(m) = s.strip_prefix("spray-b") {
-                    parse_batch(m).map(QueueSpec::SprayBatch)
-                } else if let Some(m) = s.strip_prefix("fc-globallock-b") {
-                    parse_batch(m).map(QueueSpec::FcGlobalLock)
-                } else if let Some(m) = s.strip_prefix("fc-mound-b") {
-                    parse_batch(m).map(QueueSpec::FcMound)
-                } else if let Some(rest) = s.strip_prefix("klsm") {
-                    // "klsm{k}" or "klsm{k}-b{m}".
-                    if let Some((k, m)) = rest.split_once("-b") {
-                        match (k.parse().ok(), parse_batch(m)) {
-                            (Some(k), Some(m)) => Some(QueueSpec::KlsmBatch(k, m)),
-                            _ => None,
-                        }
-                    } else {
-                        rest.parse().ok().map(QueueSpec::Klsm)
-                    }
+                } else if let Some(k) = s.strip_prefix("klsm") {
+                    positive(k).map(QueueSpec::Klsm)
                 } else if let Some(k) = s.strip_prefix("slsm") {
                     k.parse().ok().map(QueueSpec::Slsm)
                 } else if let Some(c) = s.strip_prefix("multiqueue-c") {
-                    c.parse().ok().map(QueueSpec::MultiQueue)
+                    positive(c).map(QueueSpec::MultiQueue)
                 } else {
                     None
                 }
@@ -157,8 +123,8 @@ impl QueueSpec {
     }
 
     /// Every queue family, one representative parameterization each plus
-    /// the buffered and sticky variants: the list the checker matrix and
-    /// the cross-queue contract tests run over. Append only —
+    /// the sticky variants: the list the checker matrix and the
+    /// cross-queue contract tests run over. Append only —
     /// `checker_stress` derives each cell's chaos seed from its position,
     /// so reordering or removing an entry changes every later cell's
     /// schedule.
@@ -177,13 +143,8 @@ impl QueueSpec {
             QueueSpec::Hunt,
             QueueSpec::Mound,
             QueueSpec::Cbpq,
-            QueueSpec::SprayBatch(16),
-            QueueSpec::FcGlobalLock(1),
-            QueueSpec::FcGlobalLock(16),
+            QueueSpec::FcGlobalLock,
             QueueSpec::FcMound(1),
-            QueueSpec::FcMound(16),
-            QueueSpec::KlsmBatch(128, 16),
-            QueueSpec::DlsmBatch(16),
             QueueSpec::MqSticky(4, 1, 1),
             QueueSpec::MqSticky(2, 64, 16),
         ]
@@ -218,11 +179,26 @@ impl QueueSpec {
             QueueSpec::Linden,
         ]
     }
+
+    /// Fully linearizable strict queues: the only ones for which
+    /// per-thread monotonicity may be asserted during the *concurrent*
+    /// drain. Hunt, mound and cbpq are strict only up to in-flight
+    /// operations. The frozen benchmark (`benchmark/src/job.rs`) keeps
+    /// its own copy of this list.
+    pub fn strict_drain(&self) -> bool {
+        matches!(
+            self,
+            QueueSpec::Linden
+                | QueueSpec::GlobalLock
+                | QueueSpec::FcGlobalLock
+                | QueueSpec::FcMound(_)
+        )
+    }
 }
 
-/// The `<m>` of a `-b<m>` suffix; a buffer of zero items does not exist.
-fn parse_batch(m: &str) -> Option<usize> {
-    m.parse().ok().filter(|&m| m > 0)
+/// A numeric queue parameter that must be at least 1.
+fn positive(v: &str) -> Option<usize> {
+    v.parse().ok().filter(|&v| v > 0)
 }
 
 impl std::fmt::Display for QueueSpec {
@@ -234,28 +210,18 @@ impl std::fmt::Display for QueueSpec {
 /// Instantiate the queue described by a [`QueueSpec`] and run `$body`
 /// with `$q` bound to it. `$threads` is the number of worker threads
 /// (an extra handle slot is provisioned for prefilling where the
-/// structure caps handles). The `*Batch(m)` / `Fc*(m)` specs build the
-/// bare queue type for `m <= 1` and `pq_traits::Buffered` around it
-/// from `m = 2`.
+/// structure caps handles).
 #[macro_export]
 macro_rules! with_queue {
     ($spec:expr, $threads:expr, $q:ident => $body:expr) => {{
         let threads: usize = $threads;
         match $spec {
-            $crate::QueueSpec::Klsm(k) | $crate::QueueSpec::KlsmBatch(k, 0 | 1) => {
+            $crate::QueueSpec::Klsm(k) => {
                 let $q = ::klsm::Klsm::new(k, threads + 1);
                 $body
             }
-            $crate::QueueSpec::KlsmBatch(k, m) => {
-                let $q = ::pq_traits::Buffered::new(::klsm::Klsm::new(k, threads + 1), m);
-                $body
-            }
-            $crate::QueueSpec::Dlsm | $crate::QueueSpec::DlsmBatch(0 | 1) => {
+            $crate::QueueSpec::Dlsm => {
                 let $q = ::klsm::Dlsm::new(threads + 1);
-                $body
-            }
-            $crate::QueueSpec::DlsmBatch(m) => {
-                let $q = ::pq_traits::Buffered::new(::klsm::Dlsm::new(threads + 1), m);
                 $body
             }
             $crate::QueueSpec::Slsm(k) => {
@@ -266,12 +232,8 @@ macro_rules! with_queue {
                 let $q = ::skiplist_pq::LindenPq::new();
                 $body
             }
-            $crate::QueueSpec::Spray | $crate::QueueSpec::SprayBatch(0 | 1) => {
+            $crate::QueueSpec::Spray => {
                 let $q = ::skiplist_pq::SprayList::new(threads);
-                $body
-            }
-            $crate::QueueSpec::SprayBatch(m) => {
-                let $q = ::pq_traits::Buffered::new(::skiplist_pq::SprayList::new(threads), m);
                 $body
             }
             $crate::QueueSpec::MultiQueue(c) => {
@@ -298,23 +260,12 @@ macro_rules! with_queue {
                 let $q = ::cbpq::Cbpq::new();
                 $body
             }
-            $crate::QueueSpec::FcGlobalLock(0 | 1) => {
+            $crate::QueueSpec::FcGlobalLock => {
                 let $q = ::lockedpq::fc_globallock(threads + 1);
                 $body
             }
-            $crate::QueueSpec::FcGlobalLock(m) => {
-                let $q = ::pq_traits::Buffered::new(::lockedpq::fc_globallock(threads + 1), m);
-                $body
-            }
-            $crate::QueueSpec::FcMound(0 | 1) => {
+            $crate::QueueSpec::FcMound(_) => {
                 let $q = ::lockedpq::fc_mound(threads + 1, ::pq_traits::seed::DEFAULT_QUEUE_SEED);
-                $body
-            }
-            $crate::QueueSpec::FcMound(m) => {
-                let $q = ::pq_traits::Buffered::new(
-                    ::lockedpq::fc_mound(threads + 1, ::pq_traits::seed::DEFAULT_QUEUE_SEED),
-                    m,
-                );
                 $body
             }
         }
@@ -330,10 +281,9 @@ mod tests {
         let specs = [
             QueueSpec::Klsm(128),
             QueueSpec::Klsm(4096),
-            QueueSpec::KlsmBatch(128, 16),
             QueueSpec::Dlsm,
-            QueueSpec::DlsmBatch(16),
             QueueSpec::Slsm(256),
+            QueueSpec::Slsm(0),
             QueueSpec::Linden,
             QueueSpec::Spray,
             QueueSpec::MultiQueue(4),
@@ -345,11 +295,8 @@ mod tests {
             QueueSpec::Hunt,
             QueueSpec::Mound,
             QueueSpec::Cbpq,
-            QueueSpec::SprayBatch(16),
-            QueueSpec::FcGlobalLock(1),
-            QueueSpec::FcGlobalLock(16),
+            QueueSpec::FcGlobalLock,
             QueueSpec::FcMound(1),
-            QueueSpec::FcMound(64),
         ];
         for s in specs {
             assert_eq!(QueueSpec::parse(&s.name()), Some(s), "{s:?}");
@@ -357,10 +304,29 @@ mod tests {
         assert_eq!(QueueSpec::parse("nonsense"), None);
         assert_eq!(QueueSpec::parse("mq-sticky-s8"), None);
         assert_eq!(QueueSpec::parse("mq-sticky-s8-m4-x1"), None);
-        assert_eq!(QueueSpec::parse("klsm128-bx"), None);
-        assert_eq!(QueueSpec::parse("dlsm-b"), None);
-        for family in ["klsm128", "dlsm", "spray", "fc-globallock", "fc-mound"] {
-            assert_eq!(QueueSpec::parse(&format!("{family}-b0")), None, "{family}-b0");
+        // A zero k, c, s or m would panic in the constructor or be
+        // clamped to another queue than the name says.
+        for zero in [
+            "klsm0",
+            "multiqueue-c0",
+            "mq-sticky-s0-m8",
+            "mq-sticky-s8-m0",
+            "mq-sticky-c0-s8-m8",
+        ] {
+            assert_eq!(QueueSpec::parse(zero), None, "{zero}");
+        }
+    }
+
+    #[test]
+    fn insert_buffered_names_do_not_parse() {
+        for name in [
+            "klsm128-b16",
+            "dlsm-b16",
+            "spray-b16",
+            "fc-globallock-b16",
+            "fc-mound-b16",
+        ] {
+            assert_eq!(QueueSpec::parse(name), None, "{name}");
         }
     }
 

@@ -160,12 +160,6 @@ impl PqHandle for DlsmHandle<'_> {
             }
         }
     }
-
-    /// The run lands in the local LSM as a single pre-sorted block
-    /// instead of `run.len()` separate insert cascades.
-    fn insert_sorted_run(&mut self, run: &[Item]) {
-        self.dlsm.with_slot(self.slot, |l| l.merge_in_from(run));
-    }
 }
 
 impl ConcurrentPq for Dlsm {
@@ -224,20 +218,6 @@ mod tests {
         let d = Dlsm::new(1);
         let _h1 = d.handle();
         let _h2 = d.handle();
-    }
-
-    #[test]
-    fn dropping_batched_handle_flushes() {
-        // The buffered run reaches the slot through `insert_sorted_run`.
-        let d = pq_traits::Buffered::new(Dlsm::new(2), 64);
-        {
-            let mut h = d.handle();
-            for k in 0..10u64 {
-                h.insert(k, k);
-            }
-            assert_eq!(d.inner().len_quiescent(), 0, "below m: still buffered");
-        }
-        assert_eq!(d.inner().len_quiescent(), 10, "drop must commit the buffer");
     }
 
     #[test]

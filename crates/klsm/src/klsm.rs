@@ -119,31 +119,6 @@ impl PqHandle for KlsmHandle<'_> {
             }
         }
     }
-
-    /// The run lands in the local component as a single pre-sorted
-    /// block, then the component is evicted to the SLSM until it is back
-    /// within `k`.
-    fn insert_sorted_run(&mut self, run: &[Item]) {
-        self.q
-            .dlsm
-            .with_slot(self.slot, |local| local.merge_in_from(run));
-        // A bulk merge can overflow `k` by more than one block's worth,
-        // so evict repeatedly (each eviction removes > half the local
-        // items, so this loop is short).
-        loop {
-            let evicted = self.q.dlsm.with_slot(self.slot, |local| {
-                if local.len() > self.q.k {
-                    local.pop_largest_block()
-                } else {
-                    None
-                }
-            });
-            match evicted {
-                Some(block) => self.q.slsm.insert_sorted_batch(block),
-                None => break,
-            }
-        }
-    }
 }
 
 impl ConcurrentPq for Klsm {
@@ -174,7 +149,6 @@ impl RelaxationBound for Klsm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pq_traits::Buffered;
 
     #[test]
     fn single_thread_returns_all_items() {
@@ -302,42 +276,6 @@ mod tests {
     fn rank_bound_is_k_times_p() {
         let q = Klsm::new(128, 1);
         assert_eq!(q.rank_bound(8), Some(1024));
-    }
-
-    #[test]
-    fn batched_rank_bound_counts_buffered_items() {
-        let q = Buffered::new(Klsm::new(128, 1), 16);
-        assert_eq!(q.name(), "klsm128-b16");
-        assert_eq!(q.rank_bound(8), Some((128 + 15) * 8));
-    }
-
-    #[test]
-    fn batched_klsm_conserves_and_orders_items() {
-        let q = Buffered::new(Klsm::new(8, 1), 16);
-        let mut h = q.handle();
-        for k in (0..100u64).rev() {
-            h.insert(k, k);
-        }
-        // 100 inserts at batch 16: the last 4 are still buffered.
-        assert_eq!(h.flush(), 4);
-        // Every run landed as one block and was evicted back within k.
-        assert_eq!(q.inner().len_quiescent(), 100);
-        assert!(q.inner().dlsm.len_quiescent() <= 8);
-        let mut got: Vec<Key> = std::iter::from_fn(|| h.delete_min()).map(|i| i.key).collect();
-        got.sort_unstable();
-        assert_eq!(got, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn dropping_batched_klsm_handle_flushes() {
-        let q = Buffered::new(Klsm::new(4, 2), 64);
-        {
-            let mut h = q.handle();
-            for k in 0..20u64 {
-                h.insert(k, k);
-            }
-        }
-        assert_eq!(q.inner().len_quiescent(), 20, "drop must commit the buffer");
     }
 
     proptest::proptest! {

@@ -11,14 +11,10 @@
 //! acquired once per batch of operations instead of once per operation.
 //!
 //! Pending `delete_min` requests are served *in key order from one heap
-//! pass*: the combiner first applies every pending insert (and published
-//! insert batch), then pops once per pending delete request — consecutive
-//! pops with no interleaved inserts yield ascending keys, which the
-//! combiner assigns to requesters in slot order.
-//!
-//! [`PqHandle::insert_sorted_run`] publishes the whole run as one record
-//! (all of its items applied under one publication), which is how
-//! `pq_traits::Buffered` commits its insert buffer to `fc-*-b<m>`.
+//! pass*: the combiner first applies every pending insert, then pops
+//! once per pending delete request — consecutive pops with no
+//! interleaved inserts yield ascending keys, which the combiner assigns
+//! to requesters in slot order.
 //!
 //! The wrapper is **strict** (rank bound 0): every operation is applied
 //! to the sequential substrate under the combiner lock, and the
@@ -95,15 +91,14 @@ impl FcSubstrate for MoundSubstrate {
 }
 
 // Publication-record states. `ST_EMPTY`/`ST_DONE*` are terminal (owner
-// side); `ST_INSERT`/`ST_DELETE`/`ST_BATCH` are pending requests the
-// combiner consumes.
+// side); `ST_INSERT`/`ST_DELETE` are pending requests the combiner
+// consumes.
 const ST_EMPTY: u64 = 0;
 const ST_INSERT: u64 = 1;
 const ST_DELETE: u64 = 2;
-const ST_BATCH: u64 = 3;
-const ST_DONE: u64 = 4;
-const ST_DONE_ITEM: u64 = 5;
-const ST_DONE_EMPTY: u64 = 6;
+const ST_DONE: u64 = 3;
+const ST_DONE_ITEM: u64 = 4;
+const ST_DONE_EMPTY: u64 = 5;
 
 /// One per-handle publication record, padded to its own cache line so a
 /// spinning owner never shares a line with another handle's record or
@@ -115,11 +110,6 @@ struct PubRecord {
     op: AtomicU64,
     key: AtomicU64,
     value: AtomicU64,
-    /// Base pointer / length of the run the owner borrows for `ST_BATCH`.
-    /// Valid for exactly as long as the record is pending: the owner
-    /// holds the borrow and spins until a `ST_DONE*` state.
-    batch_ptr: AtomicUsize,
-    batch_len: AtomicUsize,
     res_key: AtomicU64,
     res_value: AtomicU64,
 }
@@ -130,8 +120,6 @@ impl Default for PubRecord {
             op: AtomicU64::new(ST_EMPTY),
             key: AtomicU64::new(0),
             value: AtomicU64::new(0),
-            batch_ptr: AtomicUsize::new(0),
-            batch_len: AtomicUsize::new(0),
             res_key: AtomicU64::new(0),
             res_value: AtomicU64::new(0),
         }
@@ -214,7 +202,7 @@ impl<S: FcSubstrate> FlatCombining<S> {
             let mut applied: u64 = 0;
             let mut served: usize = 0;
             let mut any_delete = false;
-            // Pass 1: inserts and insert batches.
+            // Pass 1: inserts.
             for rec in &self.slots[..active] {
                 match rec.op.load(Ordering::Acquire) {
                     ST_INSERT => {
@@ -224,11 +212,6 @@ impl<S: FcSubstrate> FlatCombining<S> {
                         );
                         rec.op.store(ST_DONE, Ordering::Release);
                         applied += 1;
-                        served += 1;
-                    }
-                    ST_BATCH => {
-                        applied += self.apply_batch(rec, sub);
-                        rec.op.store(ST_DONE, Ordering::Release);
                         served += 1;
                     }
                     ST_DELETE => any_delete = true,
@@ -264,20 +247,6 @@ impl<S: FcSubstrate> FlatCombining<S> {
             telemetry::record_quiet(Event::FcCombineRound);
             telemetry::record_n_quiet(Event::FcOpsCombined, applied);
         }
-    }
-
-    /// Apply a published insert run. Sound because the owning handle
-    /// keeps the run borrowed while it spins until this record reaches a
-    /// `ST_DONE*` state; the `Release` publish / `Acquire` consume pair
-    /// on `op` orders the pointer and contents.
-    fn apply_batch(&self, rec: &PubRecord, sub: &mut S) -> u64 {
-        let ptr = rec.batch_ptr.load(Ordering::Relaxed) as *const Item;
-        let len = rec.batch_len.load(Ordering::Relaxed);
-        let items = unsafe { std::slice::from_raw_parts(ptr, len) };
-        for it in items {
-            sub.apply_insert(it.key, it.value);
-        }
-        len as u64
     }
 }
 
@@ -320,7 +289,7 @@ pub struct FcHandle<'a, S: FcSubstrate> {
 }
 
 impl<S: FcSubstrate> FcHandle<'_, S> {
-    /// Execute `op` (`key`/`value` for `ST_INSERT`, `run` for `ST_BATCH`).
+    /// Execute `op` (`key`/`value` are read for `ST_INSERT` only).
     ///
     /// Fast path: if the combiner lock is free, skip publication
     /// entirely — apply the op directly (exactly the plain locked
@@ -328,7 +297,7 @@ impl<S: FcSubstrate> FcHandle<'_, S> {
     /// scan for anyone who published meanwhile. Slow path: publish in
     /// this handle's record and spin until a combiner — possibly this
     /// thread, after a later election — applies it.
-    fn run_op(&mut self, op: u64, key: Key, value: Value, run: &[Item]) -> Option<Item> {
+    fn run_op(&mut self, op: u64, key: Key, value: Value) -> Option<Item> {
         if let Some(mut sub) = self.q.shared.try_lock() {
             telemetry::record(Event::FcLockAcquire);
             let res = match op {
@@ -337,12 +306,6 @@ impl<S: FcSubstrate> FcHandle<'_, S> {
                     None
                 }
                 ST_DELETE => sub.apply_delete_min(),
-                ST_BATCH => {
-                    for it in run {
-                        sub.apply_insert(it.key, it.value);
-                    }
-                    None
-                }
                 _ => unreachable!("run_op on a non-request state"),
             };
             if self.q.pending.load(Ordering::Relaxed) > 0 {
@@ -351,16 +314,9 @@ impl<S: FcSubstrate> FcHandle<'_, S> {
             return res;
         }
         let rec = &*self.q.slots[self.slot];
-        match op {
-            ST_INSERT => {
-                rec.key.store(key, Ordering::Relaxed);
-                rec.value.store(value, Ordering::Relaxed);
-            }
-            ST_BATCH => {
-                rec.batch_ptr.store(run.as_ptr() as usize, Ordering::Relaxed);
-                rec.batch_len.store(run.len(), Ordering::Relaxed);
-            }
-            _ => {}
+        if op == ST_INSERT {
+            rec.key.store(key, Ordering::Relaxed);
+            rec.value.store(value, Ordering::Relaxed);
         }
         self.q.pending.fetch_add(1, Ordering::Relaxed);
         rec.op.store(op, Ordering::Release);
@@ -402,23 +358,17 @@ impl<S: FcSubstrate> FcHandle<'_, S> {
 
 impl<S: FcSubstrate> PqHandle for FcHandle<'_, S> {
     fn insert(&mut self, key: Key, value: Value) {
-        self.run_op(ST_INSERT, key, value, &[]);
+        self.run_op(ST_INSERT, key, value);
     }
 
     fn delete_min(&mut self) -> Option<Item> {
-        self.run_op(ST_DELETE, 0, 0, &[])
-    }
-
-    /// One `ST_BATCH` publication of the borrowed run.
-    fn insert_sorted_run(&mut self, run: &[Item]) {
-        self.run_op(ST_BATCH, 0, 0, run);
+        self.run_op(ST_DELETE, 0, 0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pq_traits::Buffered;
 
     #[test]
     fn single_handle_is_a_strict_heap() {
@@ -431,43 +381,6 @@ mod tests {
         assert_eq!(got, vec![1, 3, 5, 9]);
         assert_eq!(h.delete_min(), None);
         assert_eq!(q.rank_bound(4), Some(0));
-    }
-
-    #[test]
-    fn batched_handle_buffers_until_flush() {
-        let q = Buffered::new(fc_globallock(2), 4);
-        let mut a = q.handle();
-        let mut b = q.handle();
-        a.insert(1, 1);
-        a.insert(2, 2);
-        // a's items are still buffered; b sees an empty substrate.
-        assert_eq!(b.delete_min(), None);
-        assert_eq!(a.flush(), 2);
-        assert_eq!(b.delete_min(), Some(Item::new(1, 1)));
-        assert_eq!(q.rank_bound(2), Some(6));
-    }
-
-    #[test]
-    fn own_buffer_participates_in_own_deletes() {
-        let q = Buffered::new(fc_globallock(1), 64);
-        let mut h = q.handle();
-        h.insert(7, 7);
-        h.insert(3, 3);
-        // Buffered (batch not reached), but the buffer competes in deletes.
-        assert_eq!(h.delete_min(), Some(Item::new(3, 3)));
-        assert_eq!(h.delete_min(), Some(Item::new(7, 7)));
-        assert_eq!(h.delete_min(), None);
-    }
-
-    #[test]
-    fn dropped_handle_flushes_its_buffer() {
-        let q = Buffered::new(fc_globallock(2), 16);
-        {
-            let mut h = q.handle();
-            h.insert(42, 0);
-        }
-        let mut h2 = q.handle();
-        assert_eq!(h2.delete_min(), Some(Item::new(42, 0)));
     }
 
     #[test]

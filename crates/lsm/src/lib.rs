@@ -200,8 +200,7 @@ impl Lsm {
     /// cascade merges it into place, instead of `items.len()` separate
     /// insert cascades. Cost is proportional to the blocks the new
     /// block collides with — O(batch) amortized, never a full drain —
-    /// so it is safe on the per-commit path of batched handles as well
-    /// as for DLSM spying's stolen-item installs.
+    /// so it is safe for DLSM spying's stolen-item installs.
     pub fn merge_in_sorted(&mut self, items: Vec<Item>) {
         debug_assert!(items.windows(2).all(|w| w[0] <= w[1]));
         if items.is_empty() {
@@ -213,20 +212,6 @@ impl Lsm {
         self.blocks.push_back(block);
         self.heads.push(head);
         self.restore_distinct_capacities();
-    }
-
-    /// As [`Lsm::merge_in_sorted`], but copying from a borrowed sorted
-    /// slice into a pool-drawn buffer, so a caller-retained staging
-    /// buffer (e.g. a handle's insert buffer) can be reused across
-    /// flushes without surrendering its allocation.
-    pub fn merge_in_from(&mut self, items: &[Item]) {
-        debug_assert!(items.windows(2).all(|w| w[0] <= w[1]));
-        if items.is_empty() {
-            return;
-        }
-        let mut buf = self.pool.acquire(items.len());
-        buf.extend_from_slice(items);
-        self.merge_in_sorted(buf);
     }
 
     /// Split for work stealing: drain everything, keep the even-indexed
@@ -645,21 +630,6 @@ mod tests {
             assert_eq!(l.take_all_sorted(), model, "{name}");
             assert!(l.is_empty());
         }
-    }
-
-    #[test]
-    fn merge_in_from_retains_caller_buffer() {
-        let mut l = Lsm::new();
-        l.insert(5, 0);
-        let staged = vec![Item::new(1, 1), Item::new(9, 1)];
-        l.merge_in_from(&staged);
-        assert_eq!(staged.len(), 2, "caller keeps the staging buffer");
-        assert_eq!(l.len(), 3);
-        assert!(l.check_invariants());
-        l.merge_in_from(&[]);
-        assert_eq!(l.len(), 3);
-        let out: Vec<Key> = std::iter::from_fn(|| l.delete_min()).map(|i| i.key).collect();
-        assert_eq!(out, vec![1, 5, 9]);
     }
 
     #[test]

@@ -99,7 +99,6 @@ impl Default for SkipList {
 /// Search result: for each level, the predecessor of the target
 /// coordinate and its successor, with all marked nodes on the path
 /// unlinked.
-#[derive(Clone, Copy)]
 struct Position<'g> {
     preds: [&'g [Atomic<Node>]; MAX_HEIGHT],
     succs: [Shared<'g, Node>; MAX_HEIGHT],
@@ -220,122 +219,9 @@ impl SkipList {
         self.link_upper(node_shared, target, height, guard);
     }
 
-    /// Insert an ascending-sorted run of items under a single epoch pin.
-    ///
-    /// The first item pays one full head-to-target descent; each later
-    /// item advances the previous search position forward with a finger
-    /// descent ([`SkipList::advance`]) that restarts only at the highest
-    /// level whose bracket actually moves — one descent per run instead
-    /// of one per item. Concurrency-safe: a stale finger at worst fails
-    /// the bottom-level publish CAS and falls back to a full `find`.
-    pub fn insert_batch_sorted(&self, items: &[Item], rng: &mut SmallRng) {
-        debug_assert!(
-            items.windows(2).all(|w| w[0] <= w[1]),
-            "insert_batch_sorted requires an ascending run"
-        );
-        let guard = &epoch::pin();
-        let mut finger: Option<Position<'_>> = None;
-        for &item in items {
-            let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-            let height = Self::random_height(rng);
-            let mut node = Owned::new(Node {
-                item,
-                seq,
-                link_state: AtomicU8::new(LS_INSERTING),
-                tower: (0..height).map(|_| Atomic::null()).collect(),
-            });
-            // Ascending items and monotone seq make targets strictly
-            // ascending, so the previous position is always behind us.
-            let target = (item, seq);
-            let node_shared = loop {
-                let pos = match finger.take() {
-                    Some(f) => self.advance(&f, target, guard),
-                    None => self.find(target, guard),
-                };
-                node.tower[0].store(pos.succs[0], Ordering::Relaxed);
-                match pos.preds[0][0].compare_exchange(
-                    pos.succs[0],
-                    node,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                    guard,
-                ) {
-                    Ok(shared) => {
-                        finger = Some(pos);
-                        break shared;
-                    }
-                    Err(e) => {
-                        // Lost a race (or the finger was stale): retry
-                        // with a full, unlinking search.
-                        telemetry::record(telemetry::Event::SkiplistCasRetry);
-                        node = e.new;
-                    }
-                }
-            };
-            self.len.fetch_add(1, Ordering::Relaxed);
-            self.link_upper(node_shared, target, height, guard);
-        }
-    }
-
-    /// Finger search: advance `prev` to a later `target` without
-    /// restarting from the head. Levels whose recorded successor already
-    /// lies at or past the target keep their previous bracket; the
-    /// descent re-walks only from the highest level whose successor is
-    /// before the target, carrying the predecessor down exactly like
-    /// [`SkipList::find`]. Marked nodes are stepped over but *not*
-    /// unlinked — if one sits directly in a returned bracket the caller's
-    /// CAS fails and it falls back to `find`, which does unlink. Stale
-    /// upper brackets are equally harmless: they only seed the next
-    /// advance, and every walk re-loads pointers.
-    fn advance<'g>(
-        &'g self,
-        prev: &Position<'g>,
-        target: (Item, u64),
-        guard: &'g Guard,
-    ) -> Position<'g> {
-        let mut preds = prev.preds;
-        let mut succs = prev.succs;
-        // Highest level whose recorded successor is before the target
-        // (a null successor means "past everything": reusable).
-        let mut top = 0;
-        for level in (0..MAX_HEIGHT).rev() {
-            // SAFETY: protected by `guard`; see `find`.
-            if let Some(s) = unsafe { succs[level].as_ref() } {
-                if s.coord() < target {
-                    top = level;
-                    break;
-                }
-            }
-        }
-        let mut pred = preds[top];
-        for level in (0..=top).rev() {
-            let mut cur = pred[level].load(Ordering::Acquire, guard).with_tag(0);
-            // SAFETY: protected by `guard`; see `find`.
-            while let Some(cur_ref) = unsafe { cur.as_ref() } {
-                let next = cur_ref.tower[level].load(Ordering::Acquire, guard);
-                if next.tag() == MARK {
-                    // Logically deleted: step over without adopting it
-                    // as a predecessor.
-                    cur = next.with_tag(0);
-                    continue;
-                }
-                if cur_ref.coord() < target {
-                    pred = &cur_ref.tower;
-                    cur = next.with_tag(0);
-                } else {
-                    break;
-                }
-            }
-            preds[level] = pred;
-            succs[level] = cur;
-        }
-        Position { preds, succs }
-    }
-
     /// Link a freshly published node's upper levels, then resolve
     /// retirement duty with any concurrent claimant (see
-    /// [`LS_INSERTING`]). Shared tail of [`SkipList::insert`] and
-    /// [`SkipList::insert_batch_sorted`].
+    /// [`LS_INSERTING`]). The tail of [`SkipList::insert`].
     fn link_upper<'g>(
         &'g self,
         node_shared: Shared<'g, Node>,
@@ -685,91 +571,6 @@ mod tests {
         assert_eq!(l.delete_min(), None);
         assert_eq!(l.peek_min(), None);
         assert!(l.is_empty_hint());
-    }
-
-    #[test]
-    fn batch_insert_matches_item_at_a_time() {
-        let l = SkipList::new();
-        let mut r = rng();
-        // Interleave single inserts with sorted runs (including
-        // duplicate keys) and check the merged ascending order.
-        l.insert(500, 1, &mut r);
-        l.insert(10, 2, &mut r);
-        let run: Vec<Item> = [3u64, 3, 40, 40, 900, 901]
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| Item::new(k, 100 + i as u64))
-            .collect();
-        l.insert_batch_sorted(&run, &mut r);
-        l.insert_batch_sorted(&[], &mut r);
-        l.insert_batch_sorted(&[Item::new(41, 7)], &mut r);
-        let got = l.collect_quiescent();
-        let mut want: Vec<Item> = run.clone();
-        want.extend([Item::new(500, 1), Item::new(10, 2), Item::new(41, 7)]);
-        want.sort_unstable();
-        assert_eq!(got, want);
-        assert_eq!(l.len_hint(), want.len());
-    }
-
-    #[test]
-    fn batch_insert_long_runs_drain_sorted() {
-        let l = SkipList::new();
-        let mut r = rng();
-        // Several overlapping sorted runs, so later runs advance fingers
-        // through regions populated by earlier ones.
-        let mut want = Vec::new();
-        for run_id in 0..8u64 {
-            let run: Vec<Item> = (0..64u64)
-                .map(|i| Item::new((i * 13 + run_id * 5) % 97, run_id * 1000 + i))
-                .collect();
-            let mut sorted = run.clone();
-            sorted.sort_unstable();
-            l.insert_batch_sorted(&sorted, &mut r);
-            want.extend(run);
-        }
-        want.sort_unstable();
-        let mut got = Vec::new();
-        while let Some(it) = l.delete_min() {
-            got.push(it);
-        }
-        assert_eq!(got, want, "batched inserts must drain in exact order");
-    }
-
-    #[test]
-    fn batch_insert_concurrent_with_deleters_conserves() {
-        let l = std::sync::Arc::new(SkipList::new());
-        let deleted = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for t in 0..2u64 {
-                let l = &l;
-                s.spawn(move || {
-                    let mut r = SmallRng::seed_from_u64(t);
-                    for run_id in 0..50u64 {
-                        let mut run: Vec<Item> = (0..16u64)
-                            .map(|i| Item::new(r.gen_range(0..64), t << 32 | run_id << 8 | i))
-                            .collect();
-                        run.sort_unstable();
-                        l.insert_batch_sorted(&run, &mut r);
-                    }
-                });
-            }
-            for t in 2..4u64 {
-                let l = &l;
-                let deleted = &deleted;
-                s.spawn(move || {
-                    let mut r = SmallRng::seed_from_u64(t);
-                    let mut n = 0;
-                    for _ in 0..600 {
-                        if l.spray_delete(&mut r, 4).is_some() {
-                            n += 1;
-                        }
-                    }
-                    deleted.fetch_add(n, Ordering::Relaxed);
-                });
-            }
-        });
-        let rest = l.collect_quiescent().len();
-        assert_eq!(deleted.load(Ordering::Relaxed) + rest, 2 * 50 * 16);
     }
 
     #[test]

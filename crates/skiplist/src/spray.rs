@@ -78,12 +78,6 @@ impl PqHandle for SprayHandle<'_> {
     fn delete_min(&mut self) -> Option<Item> {
         self.q.list.spray_delete(&mut self.rng, self.q.threads)
     }
-
-    /// One epoch pin and one finger descent for the whole run instead of
-    /// a full search per item.
-    fn insert_sorted_run(&mut self, run: &[Item]) {
-        self.q.list.insert_batch_sorted(run, &mut self.rng);
-    }
 }
 
 impl ConcurrentPq for SprayList {
@@ -125,7 +119,6 @@ impl RelaxationBound for SprayList {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pq_traits::Buffered;
 
     #[test]
     fn drains_all_items() {
@@ -168,9 +161,6 @@ mod tests {
         }
         // threads < 2 clamps to P = 2.
         assert_eq!(q.rank_bound(1), Some(2));
-        // Insert buffering adds (m − 1)·P on top of the curve.
-        let qb = Buffered::new(SprayList::new(4), 16);
-        assert_eq!(qb.rank_bound(8), Some(216 + 15 * 8));
     }
 
     #[test]
@@ -181,32 +171,6 @@ mod tests {
         h.insert(3, 3);
         assert_eq!(h.delete_min(), Some(Item::new(3, 3)));
         assert_eq!(h.delete_min(), None);
-    }
-
-    #[test]
-    fn batched_handle_serves_buffer_and_flushes() {
-        let q = Buffered::new(SprayList::new(2), 8);
-        let mut h = q.handle();
-        h.insert(5, 50);
-        h.insert(2, 20);
-        assert_eq!(q.inner().len_hint(), 0, "runs below the batch stay buffered");
-        // Buffered min wins over the empty shared list.
-        assert_eq!(h.delete_min(), Some(Item::new(2, 20)));
-        assert_eq!(h.flush(), 1);
-        assert_eq!(q.inner().len_hint(), 1);
-        assert_eq!(h.delete_min(), Some(Item::new(5, 50)));
-        assert_eq!(h.delete_min(), None);
-    }
-
-    #[test]
-    fn batched_handle_commits_at_batch_size() {
-        let q = Buffered::new(SprayList::new(2), 4);
-        let mut h = q.handle();
-        for k in [9u64, 1, 7, 3] {
-            h.insert(k, k);
-        }
-        assert_eq!(q.inner().len_hint(), 4, "the run landed through insert_batch_sorted");
-        assert_eq!(h.flush(), 0);
     }
 
     #[test]
@@ -252,36 +216,5 @@ mod tests {
             deleted.load(Ordering::Relaxed) + rest,
             inserted.load(Ordering::Relaxed)
         );
-    }
-
-    #[test]
-    fn concurrent_conservation_batched_handles() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let q = std::sync::Arc::new(Buffered::new(SprayList::new(4), 16));
-        let deleted = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let q = &q;
-                let deleted = &deleted;
-                s.spawn(move || {
-                    let mut h = q.handle();
-                    let mut n = 0;
-                    for i in 0..4000u64 {
-                        h.insert((i * 31 + t) % 512, t * 10_000 + i);
-                        if i % 3 == 2 && h.delete_min().is_some() {
-                            n += 1;
-                        }
-                    }
-                    h.flush();
-                    deleted.fetch_add(n, Ordering::Relaxed);
-                });
-            }
-        });
-        let mut h = q.handle();
-        let mut rest = 0;
-        while h.delete_min().is_some() {
-            rest += 1;
-        }
-        assert_eq!(deleted.load(Ordering::Relaxed) + rest, 4 * 4000);
     }
 }

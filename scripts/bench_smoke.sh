@@ -4,11 +4,12 @@
 #     stickiness/buffering grid (s ∈ {1, 8, 64} × m ∈ {1, 16}) on the
 #     uniform workload; writes BENCH_multiqueue.json, the structured
 #     per-cell export, at the repository root;
-#   * figures / quality --metrics — the insert-buffer size frontier,
-#     m ∈ {1, 4, 16, 64} across the seven buffering families plus the
-#     plain locked queues the fc wrapper delegates for; writes
-#     BENCH_flat_combining.json (throughput + latency) and
-#     BENCH_flat_combining_rank.json (rank error);
+#   * figures / quality --metrics — the insert-buffer frontier:
+#     mq-sticky (the one queue with handle-local insert buffers) at
+#     m ∈ {1, 4, 16, 64} beside the bare k-LSM, DLSM, SprayList,
+#     flat-combining and locked queues; writes BENCH_flat_combining.json
+#     (throughput + latency) and BENCH_flat_combining_rank.json (rank
+#     error);
 #   * checker_stress — one chaos cell plus the mutation tests;
 #   * figures --metrics --trace with telemetry on — produces
 #     artifacts/metrics_smoke.json, the same export with the queues'
@@ -42,18 +43,15 @@ cargo run -p pq-bench --release --offline --bin figures -- \
     --duration-ms "$DURATION_MS" \
     --metrics BENCH_multiqueue.json
 
-echo "== insert-buffer size frontier (throughput, latency, rank error) =="
-# Every buffering family at m ∈ {1, 4, 16, 64} (m = 1 is the bare
-# queue), plus plain globallock and mound so the fc-vs-plain ratio reads
-# off the same file (EXPERIMENTS.md "Flat combining and batch-size
-# ablation"). perf_ledger gates mops.fc-mound / mops.globallock.
-FRONTIER=""
-for family in mq-sticky-s8-m klsm128-b klsm4096-b dlsm-b spray-b fc-globallock-b fc-mound-b; do
-    for m in 1 4 16 64; do
-        FRONTIER+="$family$m,"
-    done
-done
-FRONTIER+="globallock,mound"
+echo "== insert-buffer frontier (throughput, latency, rank error) =="
+# mq-sticky's buffer at m ∈ {1, 4, 16, 64} against the unbuffered
+# queues (EXPERIMENTS.md "Insert buffering" says why no other queue
+# buffers inserts), plus plain globallock and mound so the fc-vs-plain
+# ratio reads off the same file (EXPERIMENTS.md "Flat combining and
+# batch-size ablation"). perf_ledger gates mops.fc-mound /
+# mops.globallock.
+FRONTIER="mq-sticky-s8-m1,mq-sticky-s8-m4,mq-sticky-s8-m16,mq-sticky-s8-m64"
+FRONTIER+=",klsm128,klsm4096,dlsm,spray,fc-globallock,fc-mound,globallock,mound"
 cargo run -p pq-bench --release --offline --bin figures -- \
     --experiment fig4a \
     --queues "$FRONTIER" \

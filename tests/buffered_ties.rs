@@ -2,28 +2,19 @@
 //! same minimum key as the shared structure, serving the delete from
 //! either side must neither duplicate nor lose an item.
 //!
-//! Two implementations buffer inserts handle-locally —
-//! `pq_traits::Buffered` behind every `-b<m>` spec and mq-sticky's own
-//! — and both resolve a delete by comparing the buffer minimum against
-//! a shared minimum. A buffered item is *not* in the shared structure,
-//! so serving it from the buffer on a tie is always safe — these tests
-//! pin that down per queue family with duplicate-heavy workloads where
+//! mq-sticky is the one queue whose handles buffer inserts locally; it
+//! resolves a delete by comparing the buffer minimum against the sampled
+//! minima of its sticky sub-queues. A buffered item is *not* in the
+//! shared structure, so serving it from the buffer on a tie is always
+//! safe — these tests pin that down with duplicate-heavy workloads where
 //! ties occur on nearly every delete.
 
 use harness::{with_queue, QueueSpec};
 use pq_traits::{ConcurrentPq, PqHandle};
 
-/// Every registry spec whose handles buffer inserts before publishing.
+/// mq-sticky with and without stickiness, both with insert buffers.
 fn buffered_specs() -> Vec<QueueSpec> {
-    vec![
-        QueueSpec::KlsmBatch(128, 16),
-        QueueSpec::DlsmBatch(16),
-        QueueSpec::MqSticky(4, 8, 8),
-        QueueSpec::MqSticky(4, 1, 4),
-        QueueSpec::SprayBatch(16),
-        QueueSpec::FcGlobalLock(16),
-        QueueSpec::FcMound(16),
-    ]
+    vec![QueueSpec::MqSticky(4, 8, 8), QueueSpec::MqSticky(4, 1, 4)]
 }
 
 /// Directed tie: one item with the contested key is committed to the

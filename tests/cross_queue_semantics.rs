@@ -62,13 +62,8 @@ fn strict_queues_return_exact_minimum_sequentially() {
         QueueSpec::Hunt,
         QueueSpec::Mound,
         QueueSpec::Cbpq,
-        QueueSpec::FcGlobalLock(1),
+        QueueSpec::FcGlobalLock,
         QueueSpec::FcMound(1),
-        // Buffered flat combining is still exact through a single handle:
-        // a delete returns the smaller of the buffer minimum and the
-        // strict inner minimum.
-        QueueSpec::FcGlobalLock(16),
-        QueueSpec::FcMound(16),
     ] {
         with_queue!(spec, 1, q => {
             let mut h = q.handle();
@@ -152,15 +147,8 @@ fn checker_passes_every_registry_queue() {
     // 1, 2 and 4 threads. Concurrent-drain monotonicity is additionally
     // asserted for the fully linearizable strict queues.
     for spec in QueueSpec::registry() {
-        let strict_drain = matches!(
-            spec,
-            QueueSpec::Linden
-                | QueueSpec::GlobalLock
-                | QueueSpec::FcGlobalLock(1)
-                | QueueSpec::FcMound(1)
-        );
         for threads in [1usize, 2, 4] {
-            let cfg = checker_cfg(threads, strict_drain);
+            let cfg = checker_cfg(threads, spec.strict_drain());
             let report = with_queue!(spec, threads, q => checker::run_and_check(q, &cfg, None));
             assert!(
                 report.is_clean(),

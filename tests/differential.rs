@@ -19,13 +19,8 @@ fn strict_specs() -> Vec<QueueSpec> {
         QueueSpec::Hunt,
         QueueSpec::Mound,
         QueueSpec::Cbpq,
-        QueueSpec::FcGlobalLock(1),
+        QueueSpec::FcGlobalLock,
         QueueSpec::FcMound(1),
-        // Buffered flat combining stays exact through one handle: a
-        // delete returns the smaller of the buffer minimum and the
-        // strict inner minimum.
-        QueueSpec::FcGlobalLock(8),
-        QueueSpec::FcMound(8),
     ]
 }
 
@@ -36,7 +31,6 @@ fn relaxed_specs() -> Vec<QueueSpec> {
         QueueSpec::Dlsm,
         QueueSpec::Slsm(32),
         QueueSpec::Spray,
-        QueueSpec::SprayBatch(16),
         QueueSpec::MultiQueue(4),
         QueueSpec::MqSticky(4, 8, 8),
         QueueSpec::MqSticky(4, 64, 16),
@@ -213,9 +207,8 @@ proptest! {
             proptest::collection::vec(op_strategy(), 0..120),
             2..3,
         ),
-        batch in prop_oneof![Just(1usize), Just(4usize), Just(16usize)],
     ) {
-        for spec in [QueueSpec::FcGlobalLock(batch), QueueSpec::FcMound(batch)] {
+        for spec in [QueueSpec::FcGlobalLock, QueueSpec::FcMound(1)] {
             let threads = plans.len();
             let returned = with_queue!(spec, threads, q => {
                 let mut out: Vec<Item> = std::thread::scope(|s| {
