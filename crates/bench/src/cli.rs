@@ -197,10 +197,13 @@ impl GridArgs {
                 "--queues" => self.queues = argv.queues()?,
                 "--prefill" => self.prefill = argv.value()?,
                 "--duration-ms" => {
-                    self.stop = StopCondition::Duration(Duration::from_millis(argv.value()?))
+                    let ms = argv.positive()? as u64;
+                    self.stop = StopCondition::Duration(Duration::from_millis(ms))
                 }
-                "--ops-per-thread" => self.stop = StopCondition::OpsPerThread(argv.value()?),
-                "--reps" => self.reps = argv.value()?,
+                "--ops-per-thread" => {
+                    self.stop = StopCondition::OpsPerThread(argv.positive()? as u64)
+                }
+                "--reps" => self.reps = argv.positive()?,
                 "--seed" => self.seed = argv.value()?,
                 "--metrics" => self.metrics = Some(argv.string()?),
                 "--trace" => self.trace = Some(argv.string()?),
@@ -342,7 +345,7 @@ mod tests {
             let ids: Vec<&str> = g.experiments.iter().map(|e| e.id).collect();
             assert_eq!(ids, ["fig4e", "fig8a"]);
             assert_eq!(g.threads, [1, 3]);
-            assert_eq!(g.queues, [QueueSpec::Linden, QueueSpec::MqSticky(4, 1, 16)]);
+            assert_eq!(g.queues, [QueueSpec::Linden, QueueSpec::MultiQueue(4, 1, 16)]);
             assert_eq!((g.prefill, g.reps, g.seed), (77, 4, 12));
             assert_eq!(g.stop, StopCondition::OpsPerThread(9));
             assert_eq!(g.metrics.as_deref(), Some("m.json"));
@@ -370,6 +373,9 @@ mod tests {
             ("--frobnicate", "unknown argument '--frobnicate'"),
             ("--queues linden,nosuch", "unknown queue 'nosuch'"),
             ("--queues klsm0", "unknown queue 'klsm0'"),
+            ("--reps 0", "--reps must be >= 1"),
+            ("--ops-per-thread 0", "--ops-per-thread must be >= 1"),
+            ("--duration-ms 0", "--duration-ms must be >= 1"),
             ("--experiment fig99", "unknown experiment 'fig99'"),
             ("--machine venus", "unknown machine 'venus'"),
         ] {

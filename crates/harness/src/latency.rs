@@ -199,7 +199,7 @@ mod tests {
         let mut c = cfg(2);
         c.prefill = 20_000;
         c.stop = StopCondition::OpsPerThread(300);
-        let r = run_latency(QueueSpec::MultiQueue(4), &c);
+        let r = run_latency(QueueSpec::MultiQueue(4, 1, 1), &c);
         assert_eq!(r.insert.n + r.delete.n, 2 * 300);
         assert!(r.insert.n > 0 && r.delete.n > 0);
     }

@@ -290,7 +290,7 @@ mod tests {
 
     #[test]
     fn multiqueue_rank_positive_but_moderate() {
-        let r = run_quality(QueueSpec::MultiQueue(4), &tiny_cfg(2));
+        let r = run_quality(QueueSpec::MultiQueue(4, 1, 1), &tiny_cfg(2));
         assert!(r.deletions > 0);
         assert!(r.rank.mean < 10_000.0);
     }

@@ -17,12 +17,11 @@ pub enum QueueSpec {
     Linden,
     /// SprayList.
     Spray,
-    /// MultiQueue with the given `c` (sub-queues = c·P).
-    MultiQueue(usize),
-    /// Sticky, buffered MultiQueue with `(c, s, m)`: sub-queues = c·P,
-    /// stickiness `s` operations, insertion/deletion buffers of `m`
-    /// items (Williams/Sanders engineering of the MultiQueue).
-    MqSticky(usize, usize, usize),
+    /// MultiQueue with `(c, s, m)`: sub-queues = c·P, stickiness `s`
+    /// operations, insertion/deletion buffers of `m` items (the
+    /// Williams/Sanders engineering of the MultiQueue). `s = m = 1` is
+    /// the paper's `multiqueue`; any other setting is `mq-sticky…`.
+    MultiQueue(usize, usize, usize),
     /// Sequential heap behind a global lock.
     GlobalLock,
     /// Hunt et al. fine-grained heap.
@@ -51,22 +50,13 @@ impl QueueSpec {
             QueueSpec::Slsm(k) => format!("slsm{k}"),
             QueueSpec::Linden => "linden".to_owned(),
             QueueSpec::Spray => "spray".to_owned(),
-            QueueSpec::MultiQueue(c) => {
-                if *c == 4 {
-                    "multiqueue".to_owned()
-                } else {
-                    format!("multiqueue-c{c}")
-                }
-            }
-            QueueSpec::MqSticky(c, s, m) => {
-                if (*c, *s, *m) == (4, 8, 8) {
-                    "mq-sticky".to_owned()
-                } else if *c == 4 {
-                    format!("mq-sticky-s{s}-m{m}")
-                } else {
-                    format!("mq-sticky-c{c}-s{s}-m{m}")
-                }
-            }
+            QueueSpec::MultiQueue(c, s, m) => match (c, s, m) {
+                (4, 1, 1) => "multiqueue".to_owned(),
+                (c, 1, 1) => format!("multiqueue-c{c}"),
+                (4, 8, 8) => "mq-sticky".to_owned(),
+                (4, s, m) => format!("mq-sticky-s{s}-m{m}"),
+                (c, s, m) => format!("mq-sticky-c{c}-s{s}-m{m}"),
+            },
             QueueSpec::GlobalLock => "globallock".to_owned(),
             QueueSpec::Hunt => "hunt".to_owned(),
             QueueSpec::Mound => "mound".to_owned(),
@@ -80,13 +70,19 @@ impl QueueSpec {
     /// parameter except the SLSM's `k` (where 0 is the strict SLSM) must
     /// be positive: the constructors would panic on a zero `k` and clamp
     /// a zero `c`, `s` or `m`, so the queue would run under another name.
+    /// Only a queue's own name parses, so `mq-sticky-s1-m1` (which is
+    /// `multiqueue`) does not.
     pub fn parse(s: &str) -> Option<Self> {
+        Self::parse_any(s).filter(|q| q.name() == s)
+    }
+
+    fn parse_any(s: &str) -> Option<Self> {
         match s {
             "dlsm" => Some(QueueSpec::Dlsm),
             "linden" => Some(QueueSpec::Linden),
             "spray" => Some(QueueSpec::Spray),
-            "multiqueue" => Some(QueueSpec::MultiQueue(4)),
-            "mq-sticky" => Some(QueueSpec::MqSticky(4, 8, 8)),
+            "multiqueue" => Some(QueueSpec::MultiQueue(4, 1, 1)),
+            "mq-sticky" => Some(QueueSpec::MultiQueue(4, 8, 8)),
             "globallock" => Some(QueueSpec::GlobalLock),
             "hunt" => Some(QueueSpec::Hunt),
             "mound" => Some(QueueSpec::Mound),
@@ -108,13 +104,13 @@ impl QueueSpec {
                     if parts.next().is_some() {
                         return None;
                     }
-                    Some(QueueSpec::MqSticky(c, sv, mv))
+                    Some(QueueSpec::MultiQueue(c, sv, mv))
                 } else if let Some(k) = s.strip_prefix("klsm") {
                     positive(k).map(QueueSpec::Klsm)
                 } else if let Some(k) = s.strip_prefix("slsm") {
                     k.parse().ok().map(QueueSpec::Slsm)
                 } else if let Some(c) = s.strip_prefix("multiqueue-c") {
-                    positive(c).map(QueueSpec::MultiQueue)
+                    positive(c).map(|c| QueueSpec::MultiQueue(c, 1, 1))
                 } else {
                     None
                 }
@@ -137,16 +133,15 @@ impl QueueSpec {
             QueueSpec::Slsm(32),
             QueueSpec::Linden,
             QueueSpec::Spray,
-            QueueSpec::MultiQueue(4),
-            QueueSpec::MqSticky(4, 8, 8),
+            QueueSpec::MultiQueue(4, 1, 1),
+            QueueSpec::MultiQueue(4, 8, 8),
             QueueSpec::GlobalLock,
             QueueSpec::Hunt,
             QueueSpec::Mound,
             QueueSpec::Cbpq,
             QueueSpec::FcGlobalLock,
             QueueSpec::FcMound(1),
-            QueueSpec::MqSticky(4, 1, 1),
-            QueueSpec::MqSticky(2, 64, 16),
+            QueueSpec::MultiQueue(2, 64, 16),
         ]
     }
 
@@ -160,7 +155,7 @@ impl QueueSpec {
             QueueSpec::Klsm(4096),
             QueueSpec::Linden,
             QueueSpec::Spray,
-            QueueSpec::MultiQueue(4),
+            QueueSpec::MultiQueue(4, 1, 1),
             QueueSpec::GlobalLock,
         ]
     }
@@ -173,8 +168,8 @@ impl QueueSpec {
             QueueSpec::Klsm(128),
             QueueSpec::Klsm(256),
             QueueSpec::Klsm(4096),
-            QueueSpec::MultiQueue(4),
-            QueueSpec::MqSticky(4, 8, 8),
+            QueueSpec::MultiQueue(4, 1, 1),
+            QueueSpec::MultiQueue(4, 8, 8),
             QueueSpec::Spray,
             QueueSpec::Linden,
         ]
@@ -236,12 +231,8 @@ macro_rules! with_queue {
                 let $q = ::skiplist_pq::SprayList::new(threads);
                 $body
             }
-            $crate::QueueSpec::MultiQueue(c) => {
-                let $q = ::multiqueue_pq::MultiQueue::new(c, threads);
-                $body
-            }
-            $crate::QueueSpec::MqSticky(c, s, m) => {
-                let $q = ::multiqueue_pq::MultiQueueSticky::new(c, threads, s, m);
+            $crate::QueueSpec::MultiQueue(c, s, m) => {
+                let $q = ::multiqueue_pq::MultiQueue::new(c, threads, s, m);
                 $body
             }
             $crate::QueueSpec::GlobalLock => {
@@ -286,11 +277,11 @@ mod tests {
             QueueSpec::Slsm(0),
             QueueSpec::Linden,
             QueueSpec::Spray,
-            QueueSpec::MultiQueue(4),
-            QueueSpec::MultiQueue(2),
-            QueueSpec::MqSticky(4, 8, 8),
-            QueueSpec::MqSticky(4, 64, 16),
-            QueueSpec::MqSticky(2, 1, 1),
+            QueueSpec::MultiQueue(4, 1, 1),
+            QueueSpec::MultiQueue(2, 1, 1),
+            QueueSpec::MultiQueue(4, 8, 8),
+            QueueSpec::MultiQueue(4, 64, 16),
+            QueueSpec::MultiQueue(2, 1, 4),
             QueueSpec::GlobalLock,
             QueueSpec::Hunt,
             QueueSpec::Mound,
@@ -304,6 +295,10 @@ mod tests {
         assert_eq!(QueueSpec::parse("nonsense"), None);
         assert_eq!(QueueSpec::parse("mq-sticky-s8"), None);
         assert_eq!(QueueSpec::parse("mq-sticky-s8-m4-x1"), None);
+        // Every queue has one name: s = m = 1 is `multiqueue[-c<c>]`.
+        for alias in ["mq-sticky-s1-m1", "mq-sticky-c2-s1-m1", "mq-sticky-s8-m8"] {
+            assert_eq!(QueueSpec::parse(alias), None, "{alias}");
+        }
         // A zero k, c, s or m would panic in the constructor or be
         // clamped to another queue than the name says.
         for zero in [
@@ -332,9 +327,11 @@ mod tests {
 
     #[test]
     fn sticky_names_match_expectations() {
-        assert_eq!(QueueSpec::MqSticky(4, 8, 8).name(), "mq-sticky");
-        assert_eq!(QueueSpec::MqSticky(4, 64, 16).name(), "mq-sticky-s64-m16");
-        assert_eq!(QueueSpec::MqSticky(2, 1, 4).name(), "mq-sticky-c2-s1-m4");
+        assert_eq!(QueueSpec::MultiQueue(4, 1, 1).name(), "multiqueue");
+        assert_eq!(QueueSpec::MultiQueue(2, 1, 1).name(), "multiqueue-c2");
+        assert_eq!(QueueSpec::MultiQueue(4, 8, 8).name(), "mq-sticky");
+        assert_eq!(QueueSpec::MultiQueue(4, 64, 16).name(), "mq-sticky-s64-m16");
+        assert_eq!(QueueSpec::MultiQueue(2, 1, 4).name(), "mq-sticky-c2-s1-m4");
     }
 
     #[test]

@@ -420,7 +420,7 @@ mod tests {
             QueueSpec::Klsm(128),
             QueueSpec::Linden,
             QueueSpec::Spray,
-            QueueSpec::MultiQueue(4),
+            QueueSpec::MultiQueue(4, 1, 1),
             QueueSpec::GlobalLock,
         ] {
             let r = run_throughput(spec, &tiny_cfg(2));
@@ -433,7 +433,7 @@ mod tests {
     fn split_workload_runs() {
         let mut cfg = tiny_cfg(2);
         cfg.workload = Workload::Split;
-        let r = run_throughput(QueueSpec::MultiQueue(4), &cfg);
+        let r = run_throughput(QueueSpec::MultiQueue(4, 1, 1), &cfg);
         assert!(r.summary.mean > 0.0);
     }
 
@@ -461,7 +461,7 @@ mod tests {
         let mut cfg = tiny_cfg(2);
         cfg.stop = StopCondition::OpsPerThread(500);
         cfg.reps = 1;
-        let r = run_throughput(QueueSpec::MultiQueue(4), &cfg);
+        let r = run_throughput(QueueSpec::MultiQueue(4, 1, 1), &cfg);
         assert_eq!(r.last_rep_thread_ops.len(), 2);
         // Fixed-ops mode: both threads do exactly 500 ops → fairness 1.
         assert_eq!(r.last_rep_thread_ops, vec![500, 500]);
@@ -473,7 +473,7 @@ mod tests {
         let mut cfg = tiny_cfg(2);
         cfg.stop = StopCondition::OpsPerThread(400);
         cfg.reps = 3;
-        let r = run_throughput(QueueSpec::MultiQueue(4), &cfg);
+        let r = run_throughput(QueueSpec::MultiQueue(4, 1, 1), &cfg);
         assert_eq!(r.per_rep_thread_ops.len(), 3);
         for rep in &r.per_rep_thread_ops {
             assert_eq!(rep, &vec![400, 400]);
@@ -523,7 +523,7 @@ mod tests {
         let mut cfg = tiny_cfg(2);
         cfg.stop = StopCondition::OpsPerThread(2_000);
         cfg.reps = 1;
-        let r = run_throughput(QueueSpec::MqSticky(4, 8, 16), &cfg);
+        let r = run_throughput(QueueSpec::MultiQueue(4, 8, 16), &cfg);
         assert!(r.summary.mean > 0.0);
     }
 
@@ -535,7 +535,7 @@ mod tests {
         let mut cfg = tiny_cfg(2);
         cfg.stop = StopCondition::Duration(Duration::from_millis(100));
         cfg.reps = 1;
-        let r = run_throughput(QueueSpec::MultiQueue(4), &cfg);
+        let r = run_throughput(QueueSpec::MultiQueue(4, 1, 1), &cfg);
         assert_eq!(r.tick_ms, 10.0);
         assert_eq!(r.per_rep_ticks.len(), 1);
         let ticks = &r.per_rep_ticks[0];
@@ -584,7 +584,7 @@ mod tests {
         cfg.reps = 2;
         let r = run_throughput_with(
             "custom-mq",
-            || multiqueue_pq::MultiQueue::new(2, 2),
+            || multiqueue_pq::MultiQueue::new(2, 2, 1, 1),
             &cfg,
         );
         assert_eq!(r.queue, "custom-mq");

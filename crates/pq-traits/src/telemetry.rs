@@ -67,10 +67,11 @@ pub enum Event {
     /// MultiQueue: a two-choice sample observed both sub-queue minima as
     /// empty (spurious or real emptiness signal).
     MqEmptySample,
-    /// MultiQueue (sticky): an insertion buffer was committed to a
-    /// sub-queue under one lock acquire.
+    /// MultiQueue (m > 1): a non-empty insertion buffer was committed to
+    /// a sub-queue under one lock acquire.
     MqBufferFlush,
-    /// MultiQueue (sticky): number of items committed by buffer flushes
+    /// MultiQueue (m > 1): number of items committed by buffer flushes,
+    /// including an insert committed together with its buffer
     /// (recorded with [`record_n`]).
     MqBufferFlushItems,
     /// LSM block pool: a buffer request was served from a free list

@@ -171,7 +171,7 @@ fn main() {
     for spec in [
         QueueSpec::GlobalLock,
         QueueSpec::Linden,
-        QueueSpec::MultiQueue(4),
+        QueueSpec::MultiQueue(4, 1, 1),
         QueueSpec::Klsm(256),
         QueueSpec::Hunt,
     ] {

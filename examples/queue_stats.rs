@@ -77,7 +77,7 @@ fn main() {
         QueueSpec::Klsm(256),
         QueueSpec::Linden,
         QueueSpec::Spray,
-        QueueSpec::MultiQueue(4),
+        QueueSpec::MultiQueue(4, 1, 1),
         QueueSpec::GlobalLock,
         QueueSpec::Cbpq,
         QueueSpec::Mound,

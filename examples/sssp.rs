@@ -141,7 +141,7 @@ fn main() {
     for spec in [
         QueueSpec::GlobalLock,
         QueueSpec::Linden,
-        QueueSpec::MultiQueue(4),
+        QueueSpec::MultiQueue(4, 1, 1),
         QueueSpec::Spray,
         QueueSpec::Klsm(256),
         QueueSpec::Klsm(4096),

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Smoke benchmarks and gates, one short run of each:
-#   * figures --metrics — plain multiqueue vs. the mq-sticky
-#     stickiness/buffering grid (s ∈ {1, 8, 64} × m ∈ {1, 16}) on the
-#     uniform workload; writes BENCH_multiqueue.json, the structured
-#     per-cell export, at the repository root;
+#   * figures --metrics — the MultiQueue's stickiness/buffering grid
+#     (s ∈ {1, 8, 64} × m ∈ {1, 16}; s = m = 1 is `multiqueue`, every
+#     other cell an `mq-sticky-s<s>-m<m>`) on the uniform workload;
+#     writes BENCH_multiqueue.json, the structured per-cell export, at
+#     the repository root;
 #   * figures / quality --metrics — the insert-buffer frontier:
 #     mq-sticky (the one queue with handle-local insert buffers) at
 #     m ∈ {1, 4, 16, 64} beside the bare k-LSM, DLSM, SprayList,
@@ -35,10 +36,10 @@ if (( THREADS > NPROC )); then
 fi
 DURATION_MS="${2:-1000}"
 
-echo "== multiqueue vs. mq-sticky stickiness/buffer grid =="
+echo "== MultiQueue stickiness/buffer grid =="
 cargo run -p pq-bench --release --offline --bin figures -- \
     --experiment fig4a \
-    --queues multiqueue,mq-sticky-s1-m1,mq-sticky-s1-m16,mq-sticky-s8-m1,mq-sticky-s8-m16,mq-sticky-s64-m1,mq-sticky-s64-m16 \
+    --queues multiqueue,mq-sticky-s1-m16,mq-sticky-s8-m1,mq-sticky-s8-m16,mq-sticky-s64-m1,mq-sticky-s64-m16 \
     --threads "$THREADS" \
     --duration-ms "$DURATION_MS" \
     --metrics BENCH_multiqueue.json

@@ -14,7 +14,7 @@ use pq_traits::{ConcurrentPq, PqHandle};
 
 /// mq-sticky with and without stickiness, both with insert buffers.
 fn buffered_specs() -> Vec<QueueSpec> {
-    vec![QueueSpec::MqSticky(4, 8, 8), QueueSpec::MqSticky(4, 1, 4)]
+    vec![QueueSpec::MultiQueue(4, 8, 8), QueueSpec::MultiQueue(4, 1, 4)]
 }
 
 /// Directed tie: one item with the contested key is committed to the

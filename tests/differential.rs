@@ -31,9 +31,9 @@ fn relaxed_specs() -> Vec<QueueSpec> {
         QueueSpec::Dlsm,
         QueueSpec::Slsm(32),
         QueueSpec::Spray,
-        QueueSpec::MultiQueue(4),
-        QueueSpec::MqSticky(4, 8, 8),
-        QueueSpec::MqSticky(4, 64, 16),
+        QueueSpec::MultiQueue(4, 1, 1),
+        QueueSpec::MultiQueue(4, 8, 8),
+        QueueSpec::MultiQueue(4, 64, 16),
     ]
 }
 

@@ -21,7 +21,7 @@ fn cfg(workload: Workload, key_dist: KeyDistribution, threads: usize) -> BenchCo
 
 #[test]
 fn latency_mode_covers_paper_queues() {
-    for spec in [QueueSpec::Klsm(128), QueueSpec::MultiQueue(4), QueueSpec::Linden] {
+    for spec in [QueueSpec::Klsm(128), QueueSpec::MultiQueue(4, 1, 1), QueueSpec::Linden] {
         let r = run_latency(
             spec,
             &cfg(Workload::Uniform, KeyDistribution::uniform(16), 2),
@@ -78,7 +78,7 @@ fn biased_workload_grows_queue() {
         KeyDistribution::uniform(16),
         2,
     );
-    let r = run_throughput(QueueSpec::MultiQueue(4), &c);
+    let r = run_throughput(QueueSpec::MultiQueue(4, 1, 1), &c);
     assert!(r.summary.mean > 0.0);
 }
 

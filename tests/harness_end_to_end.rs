@@ -41,7 +41,7 @@ fn throughput_repetitions_are_independent_and_nonzero() {
     let exp = experiments::by_id("fig4a").unwrap();
     let mut cfg = quick(&exp, 2);
     cfg.reps = 5;
-    let r = run_throughput(QueueSpec::MultiQueue(4), &cfg);
+    let r = run_throughput(QueueSpec::MultiQueue(4, 1, 1), &cfg);
     assert_eq!(r.per_rep_ops_per_sec.len(), 5);
     assert!(r.per_rep_ops_per_sec.iter().all(|&x| x > 0.0));
     assert!(r.summary.ci95 >= 0.0);
@@ -80,7 +80,7 @@ fn eight_thread_oversubscribed_runs_complete() {
     let exp = experiments::by_id("fig4a").unwrap();
     let mut cfg = quick(&exp, 8);
     cfg.reps = 1;
-    for spec in [QueueSpec::Klsm(256), QueueSpec::MultiQueue(4)] {
+    for spec in [QueueSpec::Klsm(256), QueueSpec::MultiQueue(4, 1, 1)] {
         let r = run_throughput(spec, &cfg);
         assert!(r.summary.mean > 0.0, "{spec} at 8 threads");
     }

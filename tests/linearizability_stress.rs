@@ -83,7 +83,7 @@ fn conservation_spray() {
 
 #[test]
 fn conservation_multiqueue() {
-    conservation_stress(QueueSpec::MultiQueue(4), 4, 10_000);
+    conservation_stress(QueueSpec::MultiQueue(4, 1, 1), 4, 10_000);
 }
 
 #[test]
@@ -143,7 +143,7 @@ fn relaxed_queues_stay_coarsely_ordered_during_drain() {
     // at rank ≤ bound, so one thread's emitted keys may locally invert
     // but must globally trend upward: the mean of its first decile stays
     // below the mean of its last decile.
-    for spec in [QueueSpec::Klsm(128), QueueSpec::Spray, QueueSpec::MultiQueue(4)] {
+    for spec in [QueueSpec::Klsm(128), QueueSpec::Spray, QueueSpec::MultiQueue(4, 1, 1)] {
         with_queue!(spec, 2, q => {
             {
                 let mut h = q.handle();

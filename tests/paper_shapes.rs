@@ -115,7 +115,7 @@ fn multiqueue_is_the_consistent_one() {
         let worst = ms.iter().cloned().fold(f64::INFINITY, f64::min);
         best / worst.max(1e-9)
     };
-    let mq = ratio(QueueSpec::MultiQueue(4));
+    let mq = ratio(QueueSpec::MultiQueue(4, 1, 1));
     assert!(
         mq < 6.0,
         "multiqueue best/worst ratio {mq:.1} — not consistent"

@@ -67,8 +67,8 @@ fn multiqueue_rank_grows_with_threads() {
     // Paper: MultiQueue relaxation "appears to grow linearly with the
     // thread count". On a time-sliced host the growth is noisy; assert
     // monotone direction with slack.
-    let r2 = run_quality(QueueSpec::MultiQueue(4), &cfg(2));
-    let r8 = run_quality(QueueSpec::MultiQueue(4), &cfg(8));
+    let r2 = run_quality(QueueSpec::MultiQueue(4, 1, 1), &cfg(2));
+    let r8 = run_quality(QueueSpec::MultiQueue(4, 1, 1), &cfg(8));
     assert!(
         r8.rank.mean > r2.rank.mean * 0.8,
         "multiqueue rank at 8 threads ({}) unexpectedly below 2-thread rank ({})",
@@ -94,15 +94,15 @@ fn slsm_standalone_respects_k_bound_single_thread() {
 fn mq_sticky_rank_error_within_documented_multiple_of_plain() {
     // Documented bound (EXPERIMENTS.md, "Stickiness and buffering"):
     // with stickiness s and buffer capacity m, the mq-sticky mean rank
-    // error stays within BOUND_FACTOR × the plain MultiQueue's mean
+    // error stays within BOUND_FACTOR × the s = m = 1 MultiQueue's mean
     // rank plus an additive m × threads term (items parked in
     // handle-local buffers are invisible to other threads, so each of
     // the P handles can hide up to m smaller items).
     const BOUND_FACTOR: f64 = 10.0;
     let threads = 4;
     let (s, m) = (8usize, 8usize);
-    let plain = run_quality(QueueSpec::MultiQueue(4), &cfg(threads));
-    let sticky = run_quality(QueueSpec::MqSticky(4, s, m), &cfg(threads));
+    let plain = run_quality(QueueSpec::MultiQueue(4, 1, 1), &cfg(threads));
+    let sticky = run_quality(QueueSpec::MultiQueue(4, s, m), &cfg(threads));
     assert!(plain.deletions > 0 && sticky.deletions > 0);
     let bound = BOUND_FACTOR * (plain.rank.mean + (m * threads) as f64);
     assert!(
@@ -122,7 +122,7 @@ fn mq_sticky_conserves_items_across_flush_and_handle_drop() {
     use pq_traits::{ConcurrentPq, PqHandle};
     let threads = 4usize;
     let per_thread = 3_000u64;
-    let q = multiqueue_pq::MultiQueueSticky::new(4, threads, 8, 16);
+    let q = multiqueue_pq::MultiQueue::new(4, threads, 8, 16);
     let delivered = std::sync::Mutex::new(Vec::<u64>::new());
     std::thread::scope(|scope| {
         for t in 0..threads as u64 {

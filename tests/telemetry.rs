@@ -53,7 +53,7 @@ fn instrumented_counts_reconcile_with_harness_op_counts() {
     let r = run_throughput_with(
         "probe",
         move || {
-            let q = Arc::new(Instrumented::new(Mq::new(2, THREADS)));
+            let q = Arc::new(Instrumented::new(Mq::new(2, THREADS, 1, 1)));
             sink.lock().unwrap().push(Arc::clone(&q));
             Probe(q)
         },
@@ -88,7 +88,7 @@ fn instrumented_counts_reconcile_with_harness_op_counts() {
 fn telemetry_disabled_records_nothing_through_queues() {
     use pq_traits::PqHandle;
 
-    let q = multiqueue_pq::MultiQueueSticky::new(4, 1, 8, 16);
+    let q = multiqueue_pq::MultiQueue::new(4, 1, 8, 16);
     let mut h = q.handle();
     for k in 0..100u64 {
         h.insert(k, k);
@@ -109,10 +109,15 @@ mod events {
     // test in this binary touches, so parallel test threads cannot
     // contaminate each other's counts.
 
+    /// Serialises the two tests that count buffer flushes: one of them
+    /// asserts a zero delta, which a parallel flush would break.
+    static FLUSH_COUNTING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn sticky_buffer_flush_items_match_committed_inserts() {
+        let _serial = FLUSH_COUNTING.lock().unwrap_or_else(|e| e.into_inner());
         let before = telemetry::snapshot();
-        let q = multiqueue_pq::MultiQueueSticky::new(4, 2, 8, 16);
+        let q = multiqueue_pq::MultiQueue::new(4, 2, 8, 16);
         let mut h = q.handle();
         for k in 0..10u64 {
             h.insert(k, k);
@@ -122,6 +127,23 @@ mod events {
         let delta = telemetry::snapshot().since(&before);
         assert!(delta.get(Event::MqBufferFlush) >= 1);
         assert_eq!(delta.get(Event::MqBufferFlushItems), 10);
+    }
+
+    #[test]
+    fn unbuffered_multiqueue_records_no_buffer_flush() {
+        let _serial = FLUSH_COUNTING.lock().unwrap_or_else(|e| e.into_inner());
+        let before = telemetry::snapshot();
+        let q = Mq::new(4, 1, 1, 1);
+        let mut h = q.handle();
+        for k in 0..100u64 {
+            h.insert(k, k);
+        }
+        // m = 1: every insert commits on its own, so nothing is buffered.
+        assert_eq!(h.flush(), 0);
+        let delta = telemetry::snapshot().since(&before);
+        assert_eq!(delta.get(Event::MqBufferFlush), 0);
+        assert_eq!(delta.get(Event::MqBufferFlushItems), 0);
+        assert_eq!(q.len_quiescent(), 100);
     }
 
     #[test]
@@ -206,7 +228,7 @@ mod events {
     #[test]
     fn mq_empty_sample_recorded_on_empty_queue() {
         let before = telemetry::snapshot();
-        let q = Mq::new(2, 1);
+        let q = Mq::new(2, 1, 1, 1);
         let mut h = q.handle();
         assert!(h.delete_min().is_none());
         let delta = telemetry::snapshot().since(&before);
@@ -235,7 +257,7 @@ mod events {
                     // delete_min on it records at least one
                     // MqEmptySample, so the cell's own contribution has
                     // a known floor.
-                    let q = Mq::new(2, 1);
+                    let q = Mq::new(2, 1, 1, 1);
                     let mut h = q.handle();
                     for _ in 0..EMPTY_DELETES {
                         assert!(h.delete_min().is_none());
