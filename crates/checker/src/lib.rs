@@ -11,10 +11,10 @@
 //!    drain → single-threaded residual sweep) against any queue through
 //!    the [`pq_traits::Recorded`] wrapper, collecting every thread's
 //!    operation history with logical timestamps.
-//! 2. [`verify::check`] replays the merged history against the
-//!    order-statistic treap ([`seqpq::OsTreap`]) and reports
-//!    conservation violations (lost / duplicated / invented items),
-//!    rank-bound violations against each queue's
+//! 2. [`verify::check`] replays the merged history through the rank
+//!    multiset the quality benchmark uses ([`seqpq::RankMultiset`]) and
+//!    reports conservation violations (lost / duplicated / invented
+//!    items), rank-bound violations against each queue's
 //!    [`pq_traits::RelaxationBound`], and strict-order violations for
 //!    queues that claim bound 0.
 //! 3. [`mutants`] provides intentionally broken wrappers (dropping,

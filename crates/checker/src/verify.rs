@@ -1,10 +1,10 @@
 //! History verification: conservation, rank-bound replay, and
 //! strict-order spot checks.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use pq_traits::{Item, Op, RelaxationBound};
-use seqpq::OsTreap;
+use seqpq::RankMultiset;
 
 use crate::scenario::{CheckConfig, ScenarioHistory};
 
@@ -53,7 +53,8 @@ pub struct CheckReport {
     /// Deletions of an item that was never inserted — invented.
     pub invented: u64,
 
-    /// Deletions replayed against the reference order-statistic treap.
+    /// Deletions whose rank the replay checked (every deletion of a
+    /// live item).
     pub rank_checked: u64,
     /// Largest observed rank.
     pub rank_max: u64,
@@ -187,7 +188,7 @@ fn json_escape(s: &str) -> String {
 ///    *lost*, excesses of inserted items are *duplicated*, deletions
 ///    of unknown items are *invented*.
 /// 2. **Rank replay** — all records merged by logical timestamp and
-///    replayed against an order-statistic treap; each deletion's rank
+///    replayed through a [`RankMultiset`]; each deletion's rank
 ///    (count of strictly smaller keys present, taken as the minimum
 ///    over the operation's invocation/completion interval so in-flight
 ///    concurrency cannot masquerade as relaxation) must stay within
@@ -273,53 +274,47 @@ pub fn check<Q: RelaxationBound>(
     // where its would-be rank is sampled *before* any operation that
     // completed later takes effect. An op whose invocation load
     // returned `v` started after every op with completion stamp `< v`
-    // had finished, so probes sort before same-valued completions.
-    enum Ev {
-        Probe { key: u64, del: usize },
-        Commit { rec_idx: usize },
-    }
+    // had finished, so probes (`false`) sort before same-valued
+    // completions (`true`).
     let records: Vec<_> = scenario.histories.iter().flatten().copied().collect();
-    let mut events: Vec<(u64, u8, Ev)> = Vec::with_capacity(records.len() * 2);
+    let mut events: Vec<(u64, bool, usize)> = Vec::with_capacity(records.len() * 2);
     // Sampled invocation-time rank, indexed like `records` (only delete
     // records' slots are used).
     let mut start_ranks: Vec<u64> = vec![0; records.len()];
     for (rec_idx, rec) in records.iter().enumerate() {
-        if let Op::DeleteMin(Some(item)) = rec.op {
-            events.push((
-                rec.start,
-                0,
-                Ev::Probe {
-                    key: item.key,
-                    del: rec_idx,
-                },
-            ));
+        if let Op::DeleteMin(Some(_)) = rec.op {
+            events.push((rec.start, false, rec_idx));
         }
-        events.push((rec.ts, 1, Ev::Commit { rec_idx }));
+        events.push((rec.ts, true, rec_idx));
     }
-    events.sort_unstable_by_key(|&(at, kind, _)| (at, kind));
+    events.sort_unstable();
 
-    // --- Conservation multisets + rank replay in one sweep.
-    let mut ins_count: HashMap<Item, u64> = HashMap::new();
-    let mut del_count: HashMap<Item, u64> = HashMap::new();
+    // --- Rank replay; what it leaves behind settles conservation.
+    let mut inserted: HashSet<Item> = HashSet::new();
     // Deletions observed before their insert's (later) timestamp; the
-    // matching insert annihilates against this instead of the treap.
+    // matching insert annihilates against this instead of entering the
+    // live multiset.
     let mut pending: HashMap<Item, u64> = HashMap::new();
-    let mut treap = OsTreap::new();
+    let mut live = RankMultiset::new(
+        records
+            .iter()
+            .filter_map(|rec| match rec.op {
+                Op::Insert(item) => Some(item.key),
+                _ => None,
+            })
+            .collect(),
+    );
     let mut rank_sum = 0u64;
 
-    for (_, _, ev) in &events {
-        let rec_idx = match ev {
-            Ev::Probe { key, del } => {
-                start_ranks[*del] = treap.rank_of(&Item::new(*key, 0));
-                continue;
+    for &(_, commit, rec_idx) in &events {
+        match records[rec_idx].op {
+            // Only deletions have probe points.
+            Op::DeleteMin(Some(item)) if !commit => {
+                start_ranks[rec_idx] = live.rank_below(item.key);
             }
-            Ev::Commit { rec_idx } => *rec_idx,
-        };
-        let rec = &records[rec_idx];
-        match rec.op {
             Op::Insert(item) => {
                 report.inserts += 1;
-                *ins_count.entry(item).or_default() += 1;
+                inserted.insert(item);
                 match pending.get_mut(&item) {
                     Some(n) => {
                         *n -= 1;
@@ -327,22 +322,19 @@ pub fn check<Q: RelaxationBound>(
                             pending.remove(&item);
                         }
                     }
-                    None => treap.insert_item(item),
+                    None => live.insert(item),
                 }
             }
             Op::DeleteMin(Some(item)) => {
                 report.deletes += 1;
-                *del_count.entry(item).or_default() += 1;
-                let start_rank = start_ranks[rec_idx];
                 // Rank before removal: strictly smaller keys present.
                 // The effect landed somewhere in [start, ts]; an
                 // interval endpoint where the rank was small exonerates
                 // the queue (e.g. items inserted while this delete was
                 // in flight inflate the completion-time rank but not
                 // the invocation-time one), so judge the minimum.
-                let end_rank = treap.rank_of(&Item::new(item.key, 0));
-                if treap.remove_item(&item).is_some() {
-                    let rank = start_rank.min(end_rank);
+                let rank = start_ranks[rec_idx].min(live.rank_below(item.key));
+                if live.remove(&item) {
                     report.rank_checked += 1;
                     rank_sum += rank;
                     report.rank_max = report.rank_max.max(rank);
@@ -365,23 +357,142 @@ pub fn check<Q: RelaxationBound>(
         report.rank_mean = rank_sum as f64 / report.rank_checked as f64;
     }
 
-    // --- Conservation verdicts.
-    for (item, &dels) in &del_count {
-        let ins = ins_count.get(item).copied().unwrap_or(0);
-        if dels > ins {
-            if ins == 0 {
-                report.invented += dels;
-            } else {
-                report.duplicated += dels - ins;
-            }
-        }
-    }
-    for (item, &ins) in &ins_count {
-        let dels = del_count.get(item).copied().unwrap_or(0);
-        if ins > dels {
-            report.lost += ins - dels;
+    // --- Conservation verdicts. An item is never both live and
+    // parked (an insert annihilates a parked deletion first, a deletion
+    // takes a live instance first), so what the replay leaves live was
+    // lost and what it leaves parked was duplicated or invented.
+    report.lost = live.live_count();
+    for (item, n) in pending {
+        if inserted.contains(&item) {
+            report.duplicated += n;
+        } else {
+            report.invented += n;
         }
     }
 
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pq_traits::OpRecord;
+
+    /// A queue that is nothing but its declared bound 0: `check` reads
+    /// only that, so hand-built histories need no real queue.
+    struct Strict;
+
+    impl RelaxationBound for Strict {
+        fn rank_bound(&self, _threads: usize) -> Option<u64> {
+            Some(0)
+        }
+    }
+
+    fn rec(start: u64, ts: u64, op: Op) -> OpRecord {
+        OpRecord { start, ts, op }
+    }
+
+    fn ins(key: u64, value: u64) -> Op {
+        Op::Insert(Item::new(key, value))
+    }
+
+    fn del(key: u64, value: u64) -> Op {
+        Op::DeleteMin(Some(Item::new(key, value)))
+    }
+
+    /// Check `histories` as one single-threaded cell (slack 16) with
+    /// the strict spot checks out of range, so only conservation and
+    /// the rank replay speak.
+    fn check_histories(histories: Vec<Vec<OpRecord>>) -> CheckReport {
+        let scenario = ScenarioHistory {
+            histories,
+            drain_start: u64::MAX,
+            residual_start: u64::MAX,
+        };
+        check(
+            "hand-built",
+            &Strict,
+            &CheckConfig::quick(1),
+            &scenario,
+            None,
+        )
+    }
+
+    #[test]
+    fn delete_stamped_before_its_insert_is_parked_not_ranked() {
+        // Three smaller keys already present would give the deletion
+        // rank 3 if it were ranked when its insert arrives.
+        let setup = vec![
+            rec(0, 0, ins(1, 0)),
+            rec(1, 1, ins(2, 1)),
+            rec(2, 2, ins(3, 2)),
+        ];
+        let inserter = vec![rec(3, 4, ins(9, 7))];
+        let deleter = vec![rec(3, 3, del(9, 7))];
+        let r = check_histories(vec![setup, inserter, deleter]);
+        assert_eq!((r.inserts, r.deletes), (4, 1));
+        assert_eq!((r.invented, r.duplicated), (0, 0));
+        // The three setup items are still in; only they count as lost.
+        assert_eq!(r.lost, 3);
+        assert_eq!(r.rank_checked, 0);
+        assert_eq!(r.rank_violations, 0);
+    }
+
+    #[test]
+    fn invented_item_is_counted_and_not_ranked() {
+        let r = check_histories(vec![vec![rec(0, 0, ins(5, 0)), rec(1, 1, del(7, 3))]]);
+        assert_eq!(r.invented, 1);
+        assert_eq!((r.lost, r.duplicated), (1, 0));
+        assert_eq!(r.rank_checked, 0);
+    }
+
+    #[test]
+    fn item_deleted_twice_is_duplicated_once() {
+        let h = vec![
+            rec(0, 0, ins(5, 0)),
+            rec(1, 1, del(5, 0)),
+            rec(2, 2, del(5, 0)),
+        ];
+        let r = check_histories(vec![h]);
+        assert_eq!(r.duplicated, 1);
+        assert_eq!((r.lost, r.invented), (0, 0));
+        assert_eq!(r.rank_checked, 1);
+    }
+
+    #[test]
+    fn same_item_inserted_and_deleted_twice_is_clean() {
+        let h = vec![
+            rec(0, 0, ins(5, 0)),
+            rec(1, 1, ins(5, 0)),
+            rec(2, 2, ins(8, 1)),
+            rec(3, 3, del(5, 0)),
+            rec(4, 4, del(5, 0)),
+            rec(5, 5, del(8, 1)),
+        ];
+        let r = check_histories(vec![h]);
+        assert!(r.is_clean(), "{}", r.violation_json());
+        assert_eq!(
+            (r.inserts, r.deletes, r.rank_checked, r.rank_max),
+            (3, 3, 3, 0)
+        );
+    }
+
+    #[test]
+    fn deletion_is_judged_on_its_smaller_interval_endpoint() {
+        // `(100, 0)` is the minimum when the deletion is invoked; 20
+        // smaller keys are inserted while it is in flight, so its
+        // completion-stamp rank is 20 > 0 + slack.
+        let history = |del_start| {
+            let mut h = vec![rec(0, 0, ins(100, 0))];
+            h.extend((0..20).map(|k| rec(k + 1, k + 1, ins(k, k + 1))));
+            h.push(rec(del_start, 21, del(100, 0)));
+            h
+        };
+        let r = check_histories(vec![history(1)]);
+        assert_eq!((r.rank_checked, r.rank_max, r.rank_violations), (1, 0, 0));
+        // Invoked after the inserts, the same deletion has rank 20 at
+        // both endpoints and is a violation.
+        let r = check_histories(vec![history(21)]);
+        assert_eq!((r.rank_checked, r.rank_max, r.rank_violations), (1, 20, 1));
+    }
 }

@@ -7,11 +7,12 @@
 //!   count insert+delete operations completed in a fixed time window,
 //!   repeated `reps` times, reporting mean and 95 % confidence interval.
 //!   Its worker loop is the only one in the crate; the next two
-//!   benchmarks are per-thread probes on it.
+//!   benchmarks run it too, quality on a recorded queue and latency
+//!   with a per-thread timing probe.
 //! * [`quality`] — the rank-error benchmark (appendix F): log every
-//!   operation with a linearization timestamp, reconstruct the global
-//!   sequence, replay it against an order-statistic treap and record the
-//!   rank of every deleted item.
+//!   operation through [`pq_traits::Recorded`], merge the per-thread
+//!   logs by completion stamp, replay the sequence through
+//!   [`seqpq::RankMultiset`] and record the rank of every deleted item.
 //! * [`latency`] — appendix F's throughput/latency switch: per-operation
 //!   wall times with insert/delete percentile profiles.
 //! * [`stats`] — mean / standard deviation / confidence intervals.

@@ -8,33 +8,27 @@
 //! benchmark is pessimistic, i.e., it may return artificially inflated
 //! ranks when items with duplicate keys are encountered." (appendix F)
 //!
-//! Timestamps come from a single global `fetch_add` counter bumped at
-//! each operation's completion, which yields a valid linearization order
-//! directly (see DESIGN.md §2). The replay structure is the
-//! order-statistic treap from `seqpq`; because the log stores full
-//! `(key, unique value)` items, our replay does **not** inflate ranks for
-//! duplicate keys — deletions remove the exact item instance.
+//! The log is [`pq_traits::Recorded`], the same one the checker
+//! verifies: every operation, prefill inserts included, gets a unique
+//! completion stamp from the queue-wide SeqCst clock once it has
+//! returned, so sorting by stamp yields a valid linearization order
+//! directly (see DESIGN.md §2). The replay structure is `seqpq`'s
+//! [`RankMultiset`], a count of live items per key; because the log
+//! stores full `(key, unique value)` items, our replay does **not**
+//! inflate ranks for duplicate keys — deletions remove the exact item
+//! instance.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{BTreeMap, HashSet};
 
-use pq_traits::{Item, Key, PqHandle, Value};
-use seqpq::{Fenwick, OsTreap};
+use pq_traits::{Op, OpRecord, Recorded, Value};
+use seqpq::{Fenwick, RankMultiset};
 use workloads::config::{StopCondition, PREFILL_TAG};
 use workloads::BenchConfig;
 
 use crate::registry::QueueSpec;
 use crate::stats::Summary;
-use crate::throughput::{run_once, Probe};
+use crate::throughput::run_once;
 use crate::with_queue;
-
-/// One logged operation.
-#[derive(Clone, Copy, Debug)]
-struct LogEntry {
-    ts: u64,
-    item: Item,
-    is_insert: bool,
-}
 
 /// Result of one quality configuration.
 #[derive(Clone, Debug)]
@@ -75,15 +69,19 @@ pub fn run_quality(spec: QueueSpec, cfg: &BenchConfig) -> QualityResult {
         ..cfg.clone()
     };
     let prefill = cfg.prefill_items(PREFILL_TAG);
-    let clock = AtomicU64::new(0);
-    let new_probe = |_| LogProbe {
-        clock: &clock,
-        log: Vec::with_capacity(ops_per_thread as usize),
-    };
-    let (_, probes) = with_queue!(spec, cfg.threads, q => run_once(&q, &cfg, 0, &prefill, new_probe));
-    let mut log: Vec<LogEntry> = probes.into_iter().flat_map(|p| p.log).collect();
-    log.sort_unstable_by_key(|e| e.ts);
-    let (mut ranks, delays) = replay(log, prefill);
+    let histories = with_queue!(spec, cfg.threads, q => {
+        let q = Recorded::new(q);
+        run_once(&q, &cfg, 0, &prefill, |_| ());
+        q.take_histories()
+    });
+    // The log is the run's largest allocation and briefly exists twice
+    // while the histories are joined: the queue and the prefill go
+    // first, the histories right after.
+    drop(prefill);
+    let mut log = histories.concat();
+    drop(histories);
+    log.sort_unstable_by_key(|r| r.ts);
+    let (mut ranks, delays) = replay(&log);
     let rank = Summary::of_u64(&ranks);
     ranks.sort_unstable();
     let pct = |p: f64| -> u64 {
@@ -105,53 +103,17 @@ pub fn run_quality(spec: QueueSpec, cfg: &BenchConfig) -> QualityResult {
     }
 }
 
-/// Logs every operation with a linearization timestamp: the cell-wide
-/// `clock` is bumped once the operation has completed. Empty deletions
-/// are not logged. The harness flushes each handle before the logs are
-/// collected: buffered inserts become visible (they are already
-/// logged), and deletion-buffered items return to the queue (they were
-/// never logged as deleted).
-struct LogProbe<'a> {
-    clock: &'a AtomicU64,
-    log: Vec<LogEntry>,
-}
-
-impl LogProbe<'_> {
-    fn push(&mut self, item: Item, is_insert: bool) {
-        let ts = self.clock.fetch_add(1, Ordering::Relaxed);
-        self.log.push(LogEntry { ts, item, is_insert });
-    }
-}
-
-impl Probe for LogProbe<'_> {
-    #[inline]
-    fn insert<H: PqHandle>(&mut self, h: &mut H, key: Key, value: Value) {
-        h.insert(key, value);
-        self.push(Item::new(key, value), true);
-    }
-
-    #[inline]
-    fn delete_min<H: PqHandle>(&mut self, h: &mut H) -> Option<Item> {
-        let item = h.delete_min()?;
-        self.push(item, false);
-        Some(item)
-    }
-}
-
-/// Replay the linearized log against an order-statistic treap, recording
-/// the rank of every deleted item.
+/// Replay the log, sorted by completion stamp, through a
+/// [`RankMultiset`], recording the rank of every deleted item. Flushes
+/// and empty deletions carry no item and are skipped.
 ///
 /// The rank of a deleted item is the number of live items with a
-/// **strictly smaller key** — computed as the order-statistic rank of
-/// the key-floor item `(key, 0)`, so equal-key ties never inflate ranks.
-/// (The paper's replay "may return artificially inflated ranks when
-/// items with duplicate keys are encountered"; logging full
-/// `(key, unique id)` pairs lets us avoid that pessimism.)
+/// **strictly smaller key**, so equal-key ties never inflate ranks.
 ///
 /// A deletion may appear in the log slightly before its matching insert
-/// (the timestamp is taken after the operation completes, so two racing
-/// operations can invert); such deletions are buffered and resolved with
-/// rank computed when the insert arrives.
+/// (the stamp is taken after the operation completes, so two racing
+/// operations can invert); such deletions are parked and scored with
+/// the rank and delay the item has when its insert arrives.
 ///
 /// Alongside ranks, the replay computes per-item *delay* (Rihani et al.):
 /// how many deletions of strictly larger keys occurred while the item was
@@ -159,65 +121,49 @@ impl Probe for LogProbe<'_> {
 /// of `x` passes over every live smaller key" into a prefix add; an
 /// item's delay is the point value at its key, relative to a baseline
 /// captured when the item entered the queue.
-fn replay(log: Vec<LogEntry>, prefill: Vec<Item>) -> (Vec<u64>, Vec<u64>) {
-    // Compress the key universe.
-    let mut keys: Vec<Key> = prefill
-        .iter()
-        .chain(log.iter().map(|e| &e.item))
-        .map(|it| it.key)
-        .collect();
-    keys.sort_unstable();
-    keys.dedup();
-    let key_idx = |k: Key| keys.binary_search(&k).expect("key in universe");
-
-    let mut treap = OsTreap::new();
-    let mut passes = Fenwick::new(keys.len());
-    let mut baselines: HashMap<Value, i64> = HashMap::new();
-    for it in prefill {
-        treap.insert_item(it);
-        baselines.insert(it.value, 0);
-    }
+fn replay(log: &[OpRecord]) -> (Vec<u64>, Vec<u64>) {
+    let mut live = RankMultiset::new(
+        log.iter()
+            .filter_map(|r| match r.op {
+                Op::Insert(item) => Some(item.key),
+                _ => None,
+            })
+            .collect(),
+    );
+    let mut passes = Fenwick::new(live.universe_len());
+    // A B-tree, like the multiset's item counts: its memory follows the
+    // live count, which a hash map under this churn overshoots.
+    let mut baselines: BTreeMap<Value, i64> = BTreeMap::new();
     let mut ranks = Vec::new();
     let mut delays = Vec::new();
     let mut pending: HashSet<Value> = HashSet::new();
-    let delete = |treap: &mut OsTreap,
-                      passes: &mut Fenwick,
-                      baselines: &mut HashMap<Value, i64>,
-                      item: &Item|
-     -> Option<(u64, u64)> {
-        let rank = treap.rank_of(&Item::new(item.key, 0));
-        treap.remove_item(item)?;
-        let idx = key_idx(item.key);
-        let baseline = baselines.remove(&item.value).unwrap_or(0);
-        let delay = (passes.get(idx) - baseline).max(0) as u64;
-        // This deletion passes over every live item with a smaller key.
-        passes.prefix_add(idx, 1);
-        Some((rank, delay))
-    };
-    for e in log {
-        if e.is_insert {
-            treap.insert_item(e.item);
-            baselines.insert(e.item.value, passes.get(key_idx(e.item.key)));
-            if pending.remove(&e.item.value) {
-                // Deletion already observed: the item spent no time in
-                // the replay queue; rank/delay are what they'd have been
-                // on arrival.
-                let (r, d) = delete(&mut treap, &mut passes, &mut baselines, &e.item)
-                    .expect("item was just inserted");
-                ranks.push(r);
-                delays.push(d);
-            }
-        } else {
-            match delete(&mut treap, &mut passes, &mut baselines, &e.item) {
-                Some((r, d)) => {
-                    ranks.push(r);
-                    delays.push(d);
-                }
-                None => {
-                    pending.insert(e.item.value);
-                }
+    for r in log {
+        let (item, is_insert) = match r.op {
+            Op::Insert(item) => (item, true),
+            Op::DeleteMin(Some(item)) => (item, false),
+            Op::DeleteMin(None) | Op::Flush(_) => continue,
+        };
+        if is_insert {
+            live.insert(item);
+            baselines.insert(item.value, passes.get(live.key_index(item.key)));
+            // A deletion already observed deletes the item right away:
+            // it spent no time in the replay queue, and its rank/delay
+            // are what they'd have been on arrival.
+            if !pending.remove(&item.value) {
+                continue;
             }
         }
+        let rank = live.rank_below(item.key);
+        if !live.remove(&item) {
+            pending.insert(item.value);
+            continue;
+        }
+        let idx = live.key_index(item.key);
+        let baseline = baselines.remove(&item.value).unwrap_or(0);
+        ranks.push(rank);
+        delays.push((passes.get(idx) - baseline).max(0) as u64);
+        // This deletion passes over every live item with a smaller key.
+        passes.prefix_add(idx, 1);
     }
     (ranks, delays)
 }
@@ -225,6 +171,7 @@ fn replay(log: Vec<LogEntry>, prefill: Vec<Item>) -> (Vec<u64>, Vec<u64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pq_traits::Item;
     use workloads::{KeyDistribution, Workload};
 
     fn tiny_cfg(threads: usize) -> BenchConfig {
@@ -304,50 +251,67 @@ mod tests {
         assert!(r.rank.mean < 5.0, "strict queue mean rank {}", r.rank.mean);
     }
 
+    fn ins(key: u64, value: u64) -> Op {
+        Op::Insert(Item::new(key, value))
+    }
+
+    fn del(key: u64, value: u64) -> Op {
+        Op::DeleteMin(Some(Item::new(key, value)))
+    }
+
+    /// `ops` as a log stamped in the given order.
+    fn log(ops: &[Op]) -> Vec<OpRecord> {
+        (0..)
+            .zip(ops)
+            .map(|(ts, &op)| OpRecord { start: ts, ts, op })
+            .collect()
+    }
+
     #[test]
     fn replay_handles_inverted_delete_insert_pairs() {
-        let item = Item::new(5, 1);
-        let log = vec![
-            LogEntry {
-                ts: 0,
-                item,
-                is_insert: false,
-            },
-            LogEntry {
-                ts: 1,
-                item,
-                is_insert: true,
-            },
-        ];
-        let (ranks, delays) = replay(log, vec![]);
-        assert_eq!(ranks, vec![0]);
+        // The delete of (5, 1) is stamped before its insert; it is
+        // scored when the insert arrives, against the smaller key 2.
+        let (ranks, delays) = replay(&log(&[ins(2, 0), del(5, 1), ins(5, 1)]));
+        assert_eq!(ranks, vec![1]);
         assert_eq!(delays, vec![0]);
     }
 
     #[test]
     fn replay_ranks_against_prefill() {
         // Prefill {0,10,20}; delete key 20 → rank 2.
-        let prefill = vec![Item::new(0, 100), Item::new(10, 101), Item::new(20, 102)];
-        let log = vec![LogEntry {
-            ts: 0,
-            item: Item::new(20, 102),
-            is_insert: false,
-        }];
-        let (ranks, _) = replay(log, prefill);
+        let (ranks, _) = replay(&log(&[
+            ins(0, 100),
+            ins(10, 101),
+            ins(20, 102),
+            del(20, 102),
+        ]));
         assert_eq!(ranks, vec![2]);
+    }
+
+    #[test]
+    fn replay_skips_flushes_and_empty_deletes() {
+        let (ranks, _) = replay(&log(&[
+            ins(3, 0),
+            Op::DeleteMin(None),
+            ins(1, 1),
+            Op::Flush(2),
+            del(3, 0),
+        ]));
+        assert_eq!(ranks, vec![1]);
     }
 
     #[test]
     fn replay_delay_counts_passes_by_larger_deletions() {
         // Prefill {1, 5, 9}. Delete 9 (passes 1 and 5), delete 5
         // (passes 1), delete 1: delays 0, 1, 2 in deletion order.
-        let prefill = vec![Item::new(1, 0), Item::new(5, 1), Item::new(9, 2)];
-        let del = |key, value, ts| LogEntry {
-            ts,
-            item: Item::new(key, value),
-            is_insert: false,
-        };
-        let (ranks, delays) = replay(vec![del(9, 2, 0), del(5, 1, 1), del(1, 0, 2)], prefill);
+        let (ranks, delays) = replay(&log(&[
+            ins(1, 0),
+            ins(5, 1),
+            ins(9, 2),
+            del(9, 2),
+            del(5, 1),
+            del(1, 0),
+        ]));
         assert_eq!(ranks, vec![2, 1, 0]);
         assert_eq!(delays, vec![0, 1, 2]);
     }
@@ -356,30 +320,14 @@ mod tests {
     fn replay_delay_baseline_excludes_pre_insert_passes() {
         // Delete 9 from the prefill first, THEN insert 1; 1's delay must
         // not count the earlier pass.
-        let prefill = vec![Item::new(9, 2), Item::new(3, 3)];
-        let log = vec![
-            LogEntry {
-                ts: 0,
-                item: Item::new(9, 2),
-                is_insert: false,
-            },
-            LogEntry {
-                ts: 1,
-                item: Item::new(1, 10),
-                is_insert: true,
-            },
-            LogEntry {
-                ts: 2,
-                item: Item::new(3, 3),
-                is_insert: false,
-            },
-            LogEntry {
-                ts: 3,
-                item: Item::new(1, 10),
-                is_insert: false,
-            },
-        ];
-        let (_, delays) = replay(log, prefill);
+        let (_, delays) = replay(&log(&[
+            ins(9, 2),
+            ins(3, 3),
+            del(9, 2),
+            ins(1, 10),
+            del(3, 3),
+            del(1, 10),
+        ]));
         // 9: delay 0 (prefill baseline, nothing deleted before).
         // 3: passed over once (by 9's deletion).
         // 1: inserted after 9's deletion; only 3's deletion passes it.

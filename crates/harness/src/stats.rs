@@ -65,38 +65,7 @@ impl Summary {
 
     /// Summarize integer observations (ranks, counts).
     pub fn of_u64(xs: &[u64]) -> Self {
-        // Avoid materializing for huge rank logs: stream the two passes.
-        let n = xs.len();
-        if n == 0 {
-            return Self::of(&[]);
-        }
-        let mean = xs.iter().map(|&x| x as f64).sum::<f64>() / n as f64;
-        if n == 1 {
-            return Self {
-                mean,
-                sd: 0.0,
-                ci95: 0.0,
-                n,
-            };
-        }
-        let var = xs
-            .iter()
-            .map(|&x| (x as f64 - mean).powi(2))
-            .sum::<f64>()
-            / (n - 1) as f64;
-        let sd = var.sqrt();
-        let df = n - 1;
-        let t = if df <= T975.len() {
-            T975[df - 1]
-        } else {
-            1.96
-        };
-        Self {
-            mean,
-            sd,
-            ci95: t * sd / (n as f64).sqrt(),
-            n,
-        }
+        Self::of(&xs.iter().map(|&x| x as f64).collect::<Vec<_>>())
     }
 }
 

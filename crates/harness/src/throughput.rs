@@ -159,7 +159,7 @@ pub(crate) struct RepOutcome {
 }
 
 /// What a worker does around each measured operation: the one point
-/// where the quality and latency benchmarks differ from throughput.
+/// where the latency benchmark differs from throughput.
 /// Both methods *perform* the operation through the worker's handle;
 /// the defaults add nothing, so the unit probe compiles to the bare
 /// calls.
@@ -255,7 +255,7 @@ fn aggregate_ticks(series: &[Vec<u64>], totals: &[u64]) -> Vec<u64> {
 /// that spawns workers. Each worker inserts its chunk of `prefill`
 /// through its own handle, waits at the prefill barrier, builds its
 /// probe (`probe(thread)` — after the prefill, so prefill is never
-/// timed or logged), waits for the start signal, runs the mixed
+/// timed), waits for the start signal, runs the mixed
 /// workload until `cfg.stop`, and flushes its handle outside the
 /// measured window. Returns operations per second over the window,
 /// per-thread operation counts, the aggregated time-sliced series, and

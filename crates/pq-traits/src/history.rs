@@ -4,9 +4,9 @@
 //! complete record of what every thread did to a queue. [`Recorded`]
 //! wraps any [`ConcurrentPq`] and stamps each operation twice on a
 //! queue-wide logical clock: a `start` load before the inner call and a
-//! unique `ts` `fetch_add` after it returns (the completion convention
-//! matches the harness's quality benchmark, so replay tooling can share
-//! slack assumptions). Each handle buffers its records in a plain `Vec`
+//! unique `ts` `fetch_add` after it returns. It is also the harness's
+//! quality-benchmark log, which ranks deletions in completion-stamp
+//! order, so both replays see the same records. Each handle buffers its records in a plain `Vec`
 //! and commits it to the queue-level registry when dropped, so the
 //! recording hot path is two atomics plus a vector push. Every
 //! operation also passes through [`crate::chaos::tick`], so a checker
@@ -86,11 +86,6 @@ impl<Q> Recorded<Q> {
     /// The wrapped queue.
     pub fn inner(&self) -> &Q {
         &self.inner
-    }
-
-    /// Unwrap, discarding any recorded histories.
-    pub fn into_inner(self) -> Q {
-        self.inner
     }
 }
 

@@ -4,7 +4,8 @@
 //! deletion of key `x` adds +1 to all smaller keys ("they were passed
 //! over"), and an item's accumulated delay is read when it is deleted —
 //! exactly a prefix range-add with point queries over the compressed key
-//! universe.
+//! universe. [`crate::RankMultiset`] keeps its live counts the same way,
+//! with an insert adding +1 to every larger key.
 
 /// Fenwick tree over `n` positions supporting `add` on a prefix/range
 /// and `get` at a point, both O(log n).
@@ -33,17 +34,14 @@ impl Fenwick {
 
     /// Add `delta` to every position in `0..end` (prefix add).
     pub fn prefix_add(&mut self, end: usize, delta: i64) {
-        // Difference-array trick on a standard Fenwick: add at 0, negate
-        // at `end`.
-        self.suffix_point_add(0, delta);
-        if end < self.len() {
-            self.suffix_point_add(end, -delta);
-        }
+        self.range_add(0, end, delta);
     }
 
     /// Add `delta` to every position in `start..end`.
     pub fn range_add(&mut self, start: usize, end: usize, delta: i64) {
         debug_assert!(start <= end && end <= self.len());
+        // Difference-array trick on a standard Fenwick: add at `start`,
+        // negate at `end`.
         self.suffix_point_add(start, delta);
         if end < self.len() {
             self.suffix_point_add(end, -delta);

@@ -5,8 +5,9 @@
 //! the equivalent [`BinaryHeap`] (min-heap over [`pq_traits::Item`]), the
 //! alternative [`PairingHeap`] and [`DaryHeap`] substrates (sequential
 //! cost cells of `perf_ledger`; no concurrent queue runs on them), and the
-//! [`OsTreap`] order-statistic treap that powers the quality benchmark's
-//! rank replay (appendix F: "a specialized sequential priority queue is
+//! [`RankMultiset`] — a [`Fenwick`] count over the replay's compressed key
+//! universe — that answers every rank query of the quality benchmark and
+//! the checker (appendix F: "a specialized sequential priority queue is
 //! then used to replay this sequence and efficiently determine the rank of
 //! all deleted items").
 
@@ -15,11 +16,11 @@
 pub mod binary_heap;
 pub mod dary_heap;
 pub mod fenwick;
-pub mod ostreap;
 pub mod pairing_heap;
+pub mod rank_multiset;
 
 pub use binary_heap::BinaryHeap;
 pub use dary_heap::DaryHeap;
 pub use fenwick::Fenwick;
-pub use ostreap::OsTreap;
 pub use pairing_heap::PairingHeap;
+pub use rank_multiset::RankMultiset;
