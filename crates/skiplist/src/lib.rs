@@ -3,9 +3,11 @@
 //!
 //! * [`list::SkipList`] — a Fraser/Harris-style lock-free skiplist with
 //!   marked (tagged) next pointers, helping searches, and epoch-based
-//!   memory reclamation (crossbeam-epoch). This is the substrate the
-//!   original SprayList builds on (Fraser's skiplist) and the basis of
-//!   the Lindén–Jonsson queue.
+//!   memory reclamation (crossbeam-epoch). Each node is one heap block
+//!   (header plus tower), nodes are ordered by `(Item, node address)`,
+//!   and the list holds only its head: no list-wide counter. This is
+//!   the substrate the original SprayList builds on (Fraser's skiplist)
+//!   and the basis of the Lindén–Jonsson queue.
 //! * [`linden::LindenPq`] — strict, linearizable, lock-free priority
 //!   queue: `delete_min` claims the first live node of the bottom level
 //!   with a single CAS on the node's own next pointer (Lindén &

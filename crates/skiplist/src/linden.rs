@@ -8,8 +8,11 @@
 //! prefix). Our substrate uses the same single-CAS logical claim on the
 //! bottom-level next pointer; physical cleanup differs in that claimants
 //! unlink eagerly via a helping search instead of batching prefix
-//! restructures (see DESIGN.md §2 — the strict linearizable semantics are
-//! identical, absolute throughput is somewhat lower).
+//! restructures, which are not implemented. The strict linearizable
+//! semantics are identical. Throughput is lower than the batched
+//! original's would be: on the `perf_ledger` `uniform_p2` workload (two
+//! threads on a 2-core host) `linden` runs at about 2.7 Mops/s, where
+//! `klsm256` runs at about 9.7 (EXPERIMENTS.md "Skiplist node layout").
 //!
 //! The queue is strict: `delete_min` returns the minimal item in some
 //! linearization (rank bound 0).
@@ -47,11 +50,6 @@ impl LindenPq {
             seed,
             handle_ctr: AtomicU64::new(0),
         }
-    }
-
-    /// Approximate number of stored items.
-    pub fn len_hint(&self) -> usize {
-        self.list.len_hint()
     }
 
     /// Smallest item without removing it.
@@ -115,7 +113,9 @@ mod tests {
         for k in [7u64, 2, 9, 4, 1, 8] {
             h.insert(k, k);
         }
-        let out: Vec<Key> = std::iter::from_fn(|| h.delete_min()).map(|i| i.key).collect();
+        let out: Vec<Key> = std::iter::from_fn(|| h.delete_min())
+            .map(|i| i.key)
+            .collect();
         assert_eq!(out, vec![1, 2, 4, 7, 8, 9]);
     }
 
@@ -150,6 +150,6 @@ mod tests {
                 });
             }
         });
-        assert_eq!(q.len_hint(), 0);
+        assert_eq!(q.handle().delete_min(), None);
     }
 }

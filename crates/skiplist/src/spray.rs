@@ -53,11 +53,6 @@ impl SprayList {
         }
     }
 
-    /// Approximate number of stored items.
-    pub fn len_hint(&self) -> usize {
-        self.list.len_hint()
-    }
-
     /// The thread count the spray parameters are tuned for.
     pub fn threads(&self) -> usize {
         self.threads
@@ -127,7 +122,9 @@ mod tests {
         for k in 0..500u64 {
             h.insert(k, k);
         }
-        let mut got: Vec<Key> = std::iter::from_fn(|| h.delete_min()).map(|i| i.key).collect();
+        let mut got: Vec<Key> = std::iter::from_fn(|| h.delete_min())
+            .map(|i| i.key)
+            .collect();
         got.sort_unstable();
         assert_eq!(got, (0..500).collect::<Vec<_>>());
     }
