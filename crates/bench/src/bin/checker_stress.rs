@@ -1,6 +1,6 @@
 //! Semantic-checker stress matrix under schedule perturbation.
 //!
-//! Runs the full queue registry through the recorded checker scenario
+//! Runs the full queue registry through the checker's recorded run
 //! (`checker::run_and_check`) across the workload × key-distribution
 //! grid, with the chaos shim (`pq_traits::chaos`) injecting seeded
 //! yields and spin-backoff at the queues' telemetry hot spots. Every
@@ -60,7 +60,7 @@ fn parse(mut argv: cli::Args) -> Result<Args, String> {
         match flag.as_str() {
             "--threads" => args.threads = argv.positive()?,
             "--prefill" => args.prefill = argv.value()?,
-            "--ops" => args.ops = argv.value()?,
+            "--ops" => args.ops = argv.positive()?,
             "--seed" => args.seed = argv.value()?,
             "--chaos-seed" => args.chaos_seed = argv.value()?,
             "--no-chaos" => args.no_chaos = true,
@@ -285,4 +285,16 @@ fn main() {
         std::process::exit(1);
     }
     println!("checker_stress: all cells clean and deterministic");
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn an_empty_mixed_phase_is_an_error_an_empty_prefill_is_not() {
+        let parse = |argv: &str| {
+            super::parse(super::cli::Args::new(argv.split_whitespace().map(str::to_owned).collect()))
+        };
+        assert_eq!(parse("--ops 0").err().unwrap(), "--ops must be >= 1");
+        assert_eq!(parse("--prefill 0").map(|a| a.prefill), Ok(0));
+    }
 }

@@ -6,11 +6,12 @@
 //! bound under real interleavings — Gruber's thesis devotes a chapter
 //! to exactly this validation gap. This crate closes it:
 //!
-//! 1. [`scenario::run_scenario`] drives a deterministic `workloads`
-//!    scenario (prefill → barrier-synchronized mixed phase → concurrent
-//!    drain → single-threaded residual sweep) against any queue through
-//!    the [`pq_traits::Recorded`] wrapper, collecting every thread's
-//!    operation history with logical timestamps.
+//! 1. [`run_and_check`] records one run through the harness's
+//!    [`harness::run_recorded`] — the worker loop every benchmark runs,
+//!    on a [`pq_traits::Recorded`] queue — with its drain phase on:
+//!    prefill, the mixed phase, a concurrent drain by the same workers
+//!    and a single-threaded residual sweep, every operation stamped on
+//!    the log's logical clock.
 //! 2. [`verify::check`] replays the merged history through the rank
 //!    multiset the quality benchmark uses ([`seqpq::RankMultiset`]) and
 //!    reports conservation violations (lost / duplicated / invented
@@ -27,23 +28,8 @@
 //!
 //! ```
 //! use checker::{run_and_check, CheckConfig};
-//! # use pq_traits::{ConcurrentPq, Item, Key, PqHandle, RelaxationBound, SequentialPq, Value};
-//! # use std::sync::Mutex;
-//! # struct Locked(Mutex<seqpq::BinaryHeap>);
-//! # struct LockedHandle<'a>(&'a Locked);
-//! # impl ConcurrentPq for Locked {
-//! #     type Handle<'a> = LockedHandle<'a>;
-//! #     fn handle(&self) -> LockedHandle<'_> { LockedHandle(self) }
-//! #     fn name(&self) -> String { "locked".into() }
-//! # }
-//! # impl PqHandle for LockedHandle<'_> {
-//! #     fn insert(&mut self, key: Key, value: Value) { self.0 .0.lock().unwrap().insert(key, value) }
-//! #     fn delete_min(&mut self) -> Option<Item> { self.0 .0.lock().unwrap().delete_min() }
-//! # }
-//! # impl RelaxationBound for Locked {
-//! #     fn rank_bound(&self, _threads: usize) -> Option<u64> { Some(0) }
-//! # }
-//! let queue = Locked(Mutex::new(seqpq::BinaryHeap::new()));
+//!
+//! let queue = lockedpq::GlobalLockPq::new();
 //! let report = run_and_check(queue, &CheckConfig::quick(2), None);
 //! assert!(report.is_clean(), "{}", report.violation_json());
 //! ```
@@ -51,16 +37,72 @@
 #![warn(missing_docs)]
 
 pub mod mutants;
-pub mod scenario;
 pub mod verify;
 
 pub use mutants::{BoundViolator, ItemDropper, ItemDuplicator};
-pub use scenario::{run_scenario, CheckConfig, ScenarioHistory};
 pub use verify::{check, rank_slack, CheckReport};
 
 use pq_traits::{ConcurrentPq, Recorded, RelaxationBound};
+use workloads::config::StopCondition;
+use workloads::{BenchConfig, KeyDistribution, Workload};
 
-/// Run one recorded scenario against `queue` and verify the history.
+/// One checker cell: which workload to run against the queue and how
+/// much of it.
+#[derive(Clone, Copy, Debug)]
+pub struct CheckConfig {
+    /// Worker thread count for the mixed and drain phases.
+    pub threads: usize,
+    /// Items inserted (and recorded) before the mixed phase starts.
+    pub prefill: usize,
+    /// Mixed-phase operations per worker thread.
+    pub ops_per_thread: usize,
+    /// Operation mix (uniform / split / alternating / ...).
+    pub workload: Workload,
+    /// Key distribution for inserts.
+    pub key_dist: KeyDistribution,
+    /// Master seed: prefill keys, op streams and key streams all derive
+    /// from it, so a cell replays exactly (given deterministic queue
+    /// seeding).
+    pub seed: u64,
+    /// Also check per-thread deletion monotonicity during the
+    /// *concurrent* drain phase. Only valid for fully linearizable
+    /// strict queues (`linden`, `global-lock`); queues that are strict
+    /// only up to in-flight operations (hunt, mound, cbpq) may
+    /// legitimately reorder within a thread under contention. The
+    /// single-threaded residual-sweep order check applies to every
+    /// declared-strict queue regardless of this flag.
+    pub strict_drain_check: bool,
+}
+
+impl CheckConfig {
+    /// A small default cell: uniform mixed workload over uniform
+    /// 20-bit keys — large enough to exercise contention, small enough
+    /// to run hundreds of cells in a CI budget.
+    pub fn quick(threads: usize) -> Self {
+        Self {
+            threads,
+            prefill: 256,
+            ops_per_thread: 2_000,
+            workload: Workload::Uniform,
+            key_dist: KeyDistribution::uniform(20),
+            seed: 0xC0FFEE,
+            strict_drain_check: false,
+        }
+    }
+
+    /// Human-readable cell label, e.g. `"uniform/uniform20/t4"`.
+    pub fn label(&self) -> String {
+        format!(
+            "{}/{}/t{}",
+            self.workload.name(),
+            self.key_dist.name(),
+            self.threads
+        )
+    }
+}
+
+/// Record one run of `cfg` against `queue`, drain included, and verify
+/// the history.
 ///
 /// `chaos_seed` is informational: it tags the report with the seed the
 /// cell ran under (the caller is responsible for configuring
@@ -72,56 +114,23 @@ pub fn run_and_check<Q: ConcurrentPq + RelaxationBound>(
 ) -> CheckReport {
     let recorded = Recorded::new(queue);
     let name = recorded.name();
-    let scenario = run_scenario(&recorded, cfg);
-    check(&name, recorded.inner(), cfg, &scenario, chaos_seed)
+    let bench = BenchConfig {
+        threads: cfg.threads.max(1),
+        workload: cfg.workload,
+        key_dist: cfg.key_dist,
+        prefill: cfg.prefill,
+        stop: StopCondition::OpsPerThread(cfg.ops_per_thread as u64),
+        reps: 1,
+        seed: cfg.seed,
+    };
+    let run = harness::run_recorded(&recorded, &bench, true);
+    check(&name, recorded.inner(), cfg, &run, chaos_seed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pq_traits::{ConcurrentPq, Item, Key, PqHandle, RelaxationBound, SequentialPq, Value};
-    use std::sync::Mutex;
-    use workloads::{KeyDistribution, Workload};
-
-    /// Strict reference queue: a sequential binary heap under a mutex.
-    /// Keeps the checker's own tests independent of the queue crates.
-    struct LockedHeap(Mutex<seqpq::BinaryHeap>);
-
-    impl LockedHeap {
-        fn new() -> Self {
-            Self(Mutex::new(seqpq::BinaryHeap::new()))
-        }
-    }
-
-    struct LockedHeapHandle<'a>(&'a LockedHeap);
-
-    impl ConcurrentPq for LockedHeap {
-        type Handle<'a> = LockedHeapHandle<'a>;
-
-        fn handle(&self) -> LockedHeapHandle<'_> {
-            LockedHeapHandle(self)
-        }
-
-        fn name(&self) -> String {
-            "locked-heap".into()
-        }
-    }
-
-    impl PqHandle for LockedHeapHandle<'_> {
-        fn insert(&mut self, key: Key, value: Value) {
-            self.0 .0.lock().unwrap().insert(key, value);
-        }
-
-        fn delete_min(&mut self) -> Option<Item> {
-            self.0 .0.lock().unwrap().delete_min()
-        }
-    }
-
-    impl RelaxationBound for LockedHeap {
-        fn rank_bound(&self, _threads: usize) -> Option<u64> {
-            Some(0)
-        }
-    }
+    use lockedpq::GlobalLockPq;
 
     fn cfg(threads: usize) -> CheckConfig {
         CheckConfig {
@@ -137,7 +146,7 @@ mod tests {
 
     #[test]
     fn clean_strict_queue_passes() {
-        let report = run_and_check(LockedHeap::new(), &cfg(2), None);
+        let report = run_and_check(GlobalLockPq::new(), &cfg(2), None);
         assert!(report.is_clean(), "{}", report.violation_json());
         assert!(report.inserts > 0);
         assert!(report.deletes > 0);
@@ -148,7 +157,7 @@ mod tests {
 
     #[test]
     fn detects_lost_items() {
-        let mutant = ItemDropper::new(LockedHeap::new(), 37);
+        let mutant = ItemDropper::new(GlobalLockPq::new(), 37);
         let report = run_and_check(mutant, &cfg(2), None);
         assert!(report.lost > 0, "dropper must be caught: {report:?}");
         assert_eq!(report.duplicated, 0);
@@ -158,7 +167,7 @@ mod tests {
 
     #[test]
     fn detects_duplicated_items() {
-        let mutant = ItemDuplicator::new(LockedHeap::new(), 23);
+        let mutant = ItemDuplicator::new(GlobalLockPq::new(), 23);
         let report = run_and_check(mutant, &cfg(2), None);
         assert!(report.duplicated > 0, "duplicator must be caught: {report:?}");
         assert_eq!(report.lost, 0);
@@ -168,7 +177,7 @@ mod tests {
 
     #[test]
     fn detects_rank_bound_violations() {
-        let mutant = BoundViolator::new(LockedHeap::new(), 11, 64);
+        let mutant = BoundViolator::new(GlobalLockPq::new(), 11, 64);
         let report = run_and_check(mutant, &cfg(2), None);
         assert!(
             report.rank_violations > 0,
@@ -184,17 +193,17 @@ mod tests {
     #[test]
     fn violation_reports_are_deterministic() {
         // Same seed → byte-identical violation report, clean or broken.
-        let clean_a = run_and_check(LockedHeap::new(), &cfg(2), Some(9)).violation_json();
-        let clean_b = run_and_check(LockedHeap::new(), &cfg(2), Some(9)).violation_json();
+        let clean_a = run_and_check(GlobalLockPq::new(), &cfg(2), Some(9)).violation_json();
+        let clean_b = run_and_check(GlobalLockPq::new(), &cfg(2), Some(9)).violation_json();
         assert_eq!(clean_a, clean_b);
         // Single-threaded, the whole schedule is seed-deterministic, so
         // a broken queue's (non-zero) violation report reproduces
         // byte-identically too.
         let broken_a =
-            run_and_check(ItemDropper::new(LockedHeap::new(), 37), &cfg(1), Some(9))
+            run_and_check(ItemDropper::new(GlobalLockPq::new(), 37), &cfg(1), Some(9))
                 .violation_json();
         let broken_b =
-            run_and_check(ItemDropper::new(LockedHeap::new(), 37), &cfg(1), Some(9))
+            run_and_check(ItemDropper::new(GlobalLockPq::new(), 37), &cfg(1), Some(9))
                 .violation_json();
         assert_eq!(broken_a, broken_b);
         assert_ne!(clean_a, broken_a);
@@ -202,7 +211,7 @@ mod tests {
 
     #[test]
     fn report_json_shapes() {
-        let report = run_and_check(LockedHeap::new(), &cfg(1), None);
+        let report = run_and_check(GlobalLockPq::new(), &cfg(1), None);
         let full = report.to_json();
         assert!(full.starts_with('{') && full.ends_with('}'));
         assert!(full.contains("\"kind\": \"checker\""));

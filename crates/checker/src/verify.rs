@@ -3,10 +3,11 @@
 
 use std::collections::{HashMap, HashSet};
 
+use harness::RecordedRun;
 use pq_traits::{Item, Op, RelaxationBound};
 use seqpq::RankMultiset;
 
-use crate::scenario::{CheckConfig, ScenarioHistory};
+use crate::CheckConfig;
 
 /// Extra rank allowance on top of a queue's declared bound, absorbing
 /// the stamping noise the interval replay cannot eliminate: an
@@ -20,7 +21,7 @@ pub fn rank_slack(threads: usize) -> u64 {
     (4 * threads as u64).max(16)
 }
 
-/// Result of checking one scenario's history.
+/// Result of checking one recorded run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CheckReport {
     /// Queue display name.
@@ -31,7 +32,7 @@ pub struct CheckReport {
     pub workload: String,
     /// Key distribution name.
     pub key_dist: String,
-    /// Scenario master seed.
+    /// Master seed of the cell.
     pub seed: u64,
     /// Chaos seed the cell ran under, if perturbation was on.
     pub chaos_seed: Option<u64>,
@@ -179,11 +180,11 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Verify one recorded scenario against the queue's declared semantics.
+/// Verify one recorded run against the queue's declared semantics.
 ///
 /// Checks, in order:
 /// 1. **Conservation** — the multiset of deleted items equals the
-///    multiset of inserted items (the scenario ends with a residual
+///    multiset of inserted items (the run ends with a residual
 ///    sweep to emptiness, so nothing may remain): shortfalls are
 ///    *lost*, excesses of inserted items are *duplicated*, deletions
 ///    of unknown items are *invented*.
@@ -200,7 +201,7 @@ pub fn check<Q: RelaxationBound>(
     queue_name: &str,
     queue: &Q,
     cfg: &CheckConfig,
-    scenario: &ScenarioHistory,
+    run: &RecordedRun,
     chaos_seed: Option<u64>,
 ) -> CheckReport {
     let threads = cfg.threads.max(1);
@@ -243,19 +244,19 @@ pub fn check<Q: RelaxationBound>(
     // single-threaded residual sweep must be sorted for every
     // declared-strict queue.
     if strict {
-        for history in &scenario.histories {
+        for history in &run.histories {
             let mut prev: Option<Item> = None;
             for rec in history {
-                if rec.ts < scenario.drain_start {
+                if rec.ts < run.drain_start {
                     continue; // mixed phase: concurrent inserts allowed
                 }
-                if rec.ts < scenario.residual_start && !cfg.strict_drain_check {
+                if rec.ts < run.residual_start && !cfg.strict_drain_check {
                     continue; // concurrent drain: check not requested
                 }
                 if let Op::DeleteMin(Some(item)) = rec.op {
                     if let Some(p) = prev {
                         if item.key < p.key {
-                            if rec.ts >= scenario.residual_start {
+                            if rec.ts >= run.residual_start {
                                 report.residual_order_violations += 1;
                             } else {
                                 report.monotonicity_violations += 1;
@@ -276,7 +277,7 @@ pub fn check<Q: RelaxationBound>(
     // returned `v` started after every op with completion stamp `< v`
     // had finished, so probes (`false`) sort before same-valued
     // completions (`true`).
-    let records: Vec<_> = scenario.histories.iter().flatten().copied().collect();
+    let records: Vec<_> = run.histories.iter().flatten().copied().collect();
     let mut events: Vec<(u64, bool, usize)> = Vec::with_capacity(records.len() * 2);
     // Sampled invocation-time rank, indexed like `records` (only delete
     // records' slots are used).
@@ -378,13 +379,13 @@ mod tests {
     use super::*;
     use pq_traits::OpRecord;
 
-    /// A queue that is nothing but its declared bound 0: `check` reads
+    /// A queue that is nothing but its declared bound: `check` reads
     /// only that, so hand-built histories need no real queue.
-    struct Strict;
+    struct Bound(u64);
 
-    impl RelaxationBound for Strict {
+    impl RelaxationBound for Bound {
         fn rank_bound(&self, _threads: usize) -> Option<u64> {
-            Some(0)
+            Some(self.0)
         }
     }
 
@@ -404,18 +405,56 @@ mod tests {
     /// the strict spot checks out of range, so only conservation and
     /// the rank replay speak.
     fn check_histories(histories: Vec<Vec<OpRecord>>) -> CheckReport {
-        let scenario = ScenarioHistory {
+        let run = RecordedRun {
             histories,
             drain_start: u64::MAX,
             residual_start: u64::MAX,
         };
         check(
             "hand-built",
-            &Strict,
+            &Bound(0),
             &CheckConfig::quick(1),
-            &scenario,
+            &run,
             None,
         )
+    }
+
+    /// One backwards deletion in each phase: mixed (stamps 6–7, below
+    /// `drain_start` 8), concurrent drain (8–9, below `residual_start`
+    /// 10) and residual sweep (10–11, its own history).
+    fn check_phases(bound: u64, strict_drain_check: bool) -> CheckReport {
+        let mut worker: Vec<_> = (0..6).map(|k| rec(k, k, ins(k + 1, k))).collect();
+        worker.extend([
+            rec(6, 6, del(2, 1)),
+            rec(7, 7, del(1, 0)),
+            rec(8, 8, del(4, 3)),
+            rec(9, 9, del(3, 2)),
+        ]);
+        let residual = vec![rec(10, 10, del(6, 5)), rec(11, 11, del(5, 4))];
+        let run = RecordedRun {
+            histories: vec![worker, residual],
+            drain_start: 8,
+            residual_start: 10,
+        };
+        let cfg = CheckConfig {
+            strict_drain_check,
+            ..CheckConfig::quick(1)
+        };
+        check("hand-built", &Bound(bound), &cfg, &run, None)
+    }
+
+    #[test]
+    fn strict_order_checks_fire_only_in_their_phase() {
+        let r = check_phases(0, true);
+        assert!(r.strict);
+        assert_eq!((r.monotonicity_violations, r.residual_order_violations), (1, 1));
+        let r = check_phases(0, false);
+        assert_eq!((r.monotonicity_violations, r.residual_order_violations), (0, 1));
+        for strict_drain_check in [true, false] {
+            let r = check_phases(4, strict_drain_check);
+            assert!(!r.strict);
+            assert_eq!((r.monotonicity_violations, r.residual_order_violations), (0, 0));
+        }
     }
 
     #[test]

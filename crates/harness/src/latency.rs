@@ -100,7 +100,7 @@ pub fn run_latency(spec: QueueSpec, cfg: &BenchConfig) -> LatencyResult {
         ins: Histogram::new(),
         del: Histogram::new(),
     };
-    let (_, probes) = with_queue!(spec, cfg.threads, q => run_once(&q, &cfg, 0, &prefill, new_probe));
+    let (_, probes) = with_queue!(spec, cfg.threads, q => run_once::<_, _, false>(&q, &cfg, 0, &prefill, new_probe, || ()));
     let (mut ins, mut del) = (Histogram::new(), Histogram::new());
     for p in &probes {
         ins.merge(&p.ins);

@@ -6,13 +6,16 @@
 //! * [`throughput`] — the paper's throughput benchmark: prefill, then
 //!   count insert+delete operations completed in a fixed time window,
 //!   repeated `reps` times, reporting mean and 95 % confidence interval.
-//!   Its worker loop is the only one in the crate; the next two
+//!   Its worker loop is the only one in the workspace; the next two
 //!   benchmarks run it too, quality on a recorded queue and latency
-//!   with a per-thread timing probe.
+//!   with a per-thread timing probe, and so does the `checker` crate.
 //! * [`quality`] — the rank-error benchmark (appendix F): log every
 //!   operation through [`pq_traits::Recorded`], merge the per-thread
 //!   logs by completion stamp, replay the sequence through
 //!   [`seqpq::RankMultiset`] and record the rank of every deleted item.
+//!   [`run_recorded`] is that recorded run on its own; with its drain
+//!   phase on, the workers and one extra handle then empty the queue,
+//!   which is the run the `checker` crate verifies.
 //! * [`latency`] — appendix F's throughput/latency switch: per-operation
 //!   wall times with insert/delete percentile profiles.
 //! * [`stats`] — mean / standard deviation / confidence intervals.
@@ -31,7 +34,7 @@ pub mod throughput;
 
 pub use experiments::Experiment;
 pub use latency::{run_latency, LatencyProfile, LatencyResult};
-pub use quality::{run_quality, QualityResult};
+pub use quality::{run_quality, run_recorded, QualityResult, RecordedRun};
 pub use registry::QueueSpec;
 pub use stats::{Histogram, Summary};
 pub use throughput::{run_throughput, run_throughput_with, ThroughputResult};

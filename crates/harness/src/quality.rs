@@ -20,7 +20,7 @@
 
 use std::collections::{BTreeMap, HashSet};
 
-use pq_traits::{Op, OpRecord, Recorded, Value};
+use pq_traits::{ConcurrentPq, Op, OpRecord, PqHandle, Recorded, Value};
 use seqpq::{Fenwick, RankMultiset};
 use workloads::config::{StopCondition, PREFILL_TAG};
 use workloads::BenchConfig;
@@ -55,6 +55,51 @@ pub struct QualityResult {
     pub deletions: usize,
 }
 
+/// One recorded run: every handle's operation log and the clock values
+/// that split it into phases (both `u64::MAX` without a drain).
+#[derive(Debug)]
+pub struct RecordedRun {
+    /// Per-handle operation records, the residual sweep's last.
+    pub histories: Vec<Vec<OpRecord>>,
+    /// Read while the workers were parked after their post-window
+    /// flush: records below it are prefill and mixed phase.
+    pub drain_start: u64,
+    /// Read after the workers joined: records at or above it are the
+    /// single-threaded residual sweep's.
+    pub residual_start: u64,
+}
+
+/// Run rep 0 of `cfg` on `queue`, recording every operation. With
+/// `drain`, the workers then delete until their handles see `None`, and
+/// the main thread sweeps the residue through one extra handle
+/// (`threads + 1` handles, the registry's slot allowance), so a
+/// conserving queue ends empty.
+pub fn run_recorded<Q: ConcurrentPq>(
+    queue: &Recorded<Q>,
+    cfg: &BenchConfig,
+    drain: bool,
+) -> RecordedRun {
+    let prefill = cfg.prefill_items(PREFILL_TAG);
+    let (mut drain_start, mut residual_start) = (u64::MAX, u64::MAX);
+    if !drain {
+        run_once::<_, _, false>(queue, cfg, 0, &prefill, |_| (), || ());
+    } else {
+        run_once::<_, _, true>(queue, cfg, 0, &prefill, |_| (), || drain_start = queue.now());
+        // Uncontended, one pass to `None` empties every registry queue
+        // (relaxed queues fall back to reliable scans).
+        residual_start = queue.now();
+        let mut h = queue.handle();
+        h.flush();
+        while h.delete_min().is_some() {}
+        h.flush();
+    }
+    RecordedRun {
+        histories: queue.take_histories(),
+        drain_start,
+        residual_start,
+    }
+}
+
 /// Run the rank-error benchmark for one queue and configuration. The
 /// configuration's stop condition should be [`StopCondition::OpsPerThread`]
 /// so the log stays bounded; a duration-based config is converted to a
@@ -68,16 +113,12 @@ pub fn run_quality(spec: QueueSpec, cfg: &BenchConfig) -> QualityResult {
         stop: StopCondition::OpsPerThread(ops_per_thread),
         ..cfg.clone()
     };
-    let prefill = cfg.prefill_items(PREFILL_TAG);
     let histories = with_queue!(spec, cfg.threads, q => {
-        let q = Recorded::new(q);
-        run_once(&q, &cfg, 0, &prefill, |_| ());
-        q.take_histories()
+        run_recorded(&Recorded::new(q), &cfg, false).histories
     });
     // The log is the run's largest allocation and briefly exists twice
-    // while the histories are joined: the queue and the prefill go
+    // while the histories are joined: the prefill and the queue go
     // first, the histories right after.
-    drop(prefill);
     let mut log = histories.concat();
     drop(histories);
     log.sort_unstable_by_key(|r| r.ts);
@@ -249,6 +290,33 @@ mod tests {
         // compared to relaxed queues.
         let r = run_quality(QueueSpec::GlobalLock, &tiny_cfg(4));
         assert!(r.rank.mean < 5.0, "strict queue mean rank {}", r.rank.mean);
+    }
+
+    #[test]
+    fn recorded_run_drains_only_when_asked() {
+        let cfg = tiny_cfg(2);
+        for spec in [QueueSpec::GlobalLock, QueueSpec::MultiQueue(4, 8, 8)] {
+            let run = with_queue!(spec, 2, q => run_recorded(&Recorded::new(q), &cfg, true));
+            assert!(run.drain_start <= run.residual_start, "{spec}");
+            let (residual, workers) = run.histories.split_last().unwrap();
+            assert!(residual.iter().all(|r| r.ts >= run.residual_start), "{spec}");
+            // The workers drain through their own handles: deletes and
+            // flushes only, and not nothing.
+            let drain = || workers.iter().flatten().filter(|r| r.ts >= run.drain_start);
+            assert!(drain().all(|r| !matches!(r.op, Op::Insert(_))), "{spec}");
+            assert!(drain().any(|r| matches!(r.op, Op::DeleteMin(Some(_)))), "{spec}");
+            let count = |f: fn(&Op) -> bool| run.histories.iter().flatten().filter(|r| f(&r.op)).count();
+            let inserts = count(|op| matches!(op, Op::Insert(_)));
+            assert_eq!(inserts, count(|op| matches!(op, Op::DeleteMin(Some(_)))), "{spec}");
+
+            // Undrained, each worker's log is its prefill chunk, 3 000
+            // mixed ops and the post-window flush.
+            let run = with_queue!(spec, 2, q => run_recorded(&Recorded::new(q), &cfg, false));
+            assert_eq!((run.drain_start, run.residual_start), (u64::MAX, u64::MAX));
+            assert_eq!(run.histories.len(), 2, "{spec}");
+            assert_eq!(run.histories.concat().len(), cfg.prefill + 2 * 3_001, "{spec}");
+            assert!(run.histories.iter().all(|h| matches!(h.last().unwrap().op, Op::Flush(_))));
+        }
     }
 
     fn ins(key: u64, value: u64) -> Op {

@@ -191,7 +191,7 @@ pub fn run_throughput(spec: QueueSpec, cfg: &BenchConfig) -> ThroughputResult {
     let prefill = cfg.prefill_items(PREFILL_TAG);
     let mut reps = Vec::with_capacity(cfg.reps);
     for rep in 0..cfg.reps {
-        reps.push(with_queue!(spec, cfg.threads, q => run_once(&q, cfg, rep, &prefill, |_| ()).0));
+        reps.push(with_queue!(spec, cfg.threads, q => run_once::<_, _, false>(&q, cfg, rep, &prefill, |_| (), || ()).0));
     }
     assemble(spec.name(), cfg, reps)
 }
@@ -209,7 +209,7 @@ pub fn run_throughput_with<Q: ConcurrentPq>(
     let mut reps = Vec::with_capacity(cfg.reps);
     for rep in 0..cfg.reps {
         let q = make();
-        reps.push(run_once(&q, cfg, rep, &prefill, |_| ()).0);
+        reps.push(run_once::<_, _, false>(&q, cfg, rep, &prefill, |_| (), || ()).0);
     }
     assemble(name.to_owned(), cfg, reps)
 }
@@ -251,21 +251,28 @@ fn aggregate_ticks(series: &[Vec<u64>], totals: &[u64]) -> Vec<u64> {
     out
 }
 
-/// One repetition of every benchmark in this crate — the only function
-/// that spawns workers. Each worker inserts its chunk of `prefill`
-/// through its own handle, waits at the prefill barrier, builds its
-/// probe (`probe(thread)` — after the prefill, so prefill is never
-/// timed), waits for the start signal, runs the mixed
-/// workload until `cfg.stop`, and flushes its handle outside the
-/// measured window. Returns operations per second over the window,
-/// per-thread operation counts, the aggregated time-sliced series, and
-/// the probes in thread order.
-pub(crate) fn run_once<Q: ConcurrentPq, P: Probe>(
+/// One repetition of every benchmark in this crate, and the checker's
+/// recorded run — the only function that spawns workers. Each worker
+/// inserts its chunk of `prefill` through its own handle, waits at the
+/// prefill barrier, builds its probe (`probe(thread)` — after the
+/// prefill, so prefill is never timed), waits for the start signal,
+/// runs the mixed workload until `cfg.stop`, and flushes its handle
+/// outside the measured window. With `DRAIN`, the workers then meet at
+/// the barrier, the main thread calls `at_drain` while they are parked,
+/// and each worker deletes through its handle until `None` and flushes
+/// again. `DRAIN` is a const so that the benchmarks' instantiations
+/// compile without the drain: as a run-time flag it changed the code
+/// generated around the measured loop and slowed the throughput cells
+/// (EXPERIMENTS.md "One worker loop for the checker"). Returns
+/// operations per second over the window, per-thread operation counts,
+/// the aggregated time-sliced series, and the probes in thread order.
+pub(crate) fn run_once<Q: ConcurrentPq, P: Probe, const DRAIN: bool>(
     q: &Q,
     cfg: &BenchConfig,
     rep: usize,
     prefill: &[Item],
     probe: impl Fn(usize) -> P + Sync,
+    at_drain: impl FnOnce(),
 ) -> (RepOutcome, Vec<P>) {
     let rep_seed = cfg.seed ^ (rep as u64).wrapping_mul(0xA076_1D64_78BD_642F);
     let threads = cfg.threads;
@@ -342,6 +349,12 @@ pub(crate) fn run_once<Q: ConcurrentPq, P: Probe>(
                             1,
                         );
                     }
+                    if DRAIN {
+                        barrier.wait(); // window closed and flushed
+                        barrier.wait(); // main ran `at_drain`
+                        while h.delete_min().is_some() {}
+                        h.flush();
+                    }
                     (count, ns, ticks, probe)
                 })
             })
@@ -350,6 +363,11 @@ pub(crate) fn run_once<Q: ConcurrentPq, P: Probe>(
         barrier.wait(); // wait for prefill
         trace::phase(PhaseKind::Measure, rep as u32);
         barrier.wait(); // release the workers
+        if DRAIN {
+            barrier.wait(); // workers flushed
+            at_drain();
+            barrier.wait(); // release them into the drain
+        }
         handles
             .into_iter()
             .map(|h| h.join().expect("benchmark worker panicked"))
