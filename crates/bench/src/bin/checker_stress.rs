@@ -227,6 +227,9 @@ fn main() {
     ];
 
     let mut metrics = MetricsReport::new("checker_stress");
+    if args.metrics.is_some() {
+        telemetry::set_enabled(true);
+    }
     let mut failures = 0u64;
     let mut cells = 0u64;
     let mut injected = 0u64;

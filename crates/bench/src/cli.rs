@@ -8,7 +8,8 @@
 //!   share; a tool supplies only its defaults.
 //! * [`run_grid`] — the experiments × queues × threads loop with the
 //!   per-cell telemetry snapshot, flight-recorder start/stop and the
-//!   `--metrics` / `--trace` exports.
+//!   `--metrics` / `--trace` exports. Either flag switches event
+//!   counting on for the run.
 
 use std::str::FromStr;
 use std::time::Duration;
@@ -272,6 +273,7 @@ impl Grid {
 /// (each through [`Grid::cell`] with `push`), hand each experiment's
 /// `rows[queue][thread]` to `emit`, and write the `--metrics` and
 /// `--trace` documents at the end (exit 1 if one cannot be written).
+/// Either document switches event counting on for the whole run.
 pub fn run_grid<R>(
     tool: &str,
     args: &GridArgs,
@@ -283,6 +285,9 @@ pub fn run_grid<R>(
         report: args.metrics.as_ref().map(|_| MetricsReport::new(tool)),
         tracefile: args.trace.as_ref().map(|_| TraceFile::new()),
     };
+    if grid.report.is_some() || grid.tracefile.is_some() {
+        telemetry::set_enabled(true);
+    }
     for exp in &args.experiments {
         let mut rows: Vec<Vec<R>> = Vec::new();
         for &spec in &args.queues {
@@ -303,9 +308,7 @@ pub fn run_grid<R>(
     };
     if let (Some(path), Some(report)) = (&args.metrics, &grid.report) {
         written(path, report.write(path));
-        let cells = report.len();
-        let telemetry = if telemetry::enabled() { "on" } else { "off" };
-        eprintln!("wrote {path} ({cells} cells, telemetry {telemetry})");
+        eprintln!("wrote {path} ({} cells)", report.len());
     }
     if let (Some(path), Some(tf)) = (&args.trace, &grid.tracefile) {
         written(path, tf.write(path));

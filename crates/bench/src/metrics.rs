@@ -3,9 +3,11 @@
 //! Every binary that accepts `--metrics <path>` funnels its results
 //! through a [`MetricsReport`]: one *cell* per (queue, threads,
 //! workload) configuration, carrying the scalar summaries, the
-//! time-sliced throughput series, latency histograms, and — when the
-//! `telemetry` feature is on — the queue-internal event counters
-//! ([`pq_traits::telemetry`]) observed while that cell ran. The JSON is
+//! time-sliced throughput series, latency histograms, and the
+//! queue-internal event counters ([`pq_traits::telemetry`]) observed
+//! while that cell ran (the binaries switch counting on whenever they
+//! write `--metrics` or `--trace`, so every build exports real counts).
+//! The JSON is
 //! handwritten (the workspace is dependency-free by design) and kept
 //! deliberately flat so downstream tooling can consume it with nothing
 //! more than a generic JSON parser.
@@ -15,13 +17,14 @@
 //! ```json
 //! {
 //!   "tool": "figures",
-//!   "telemetry_enabled": true,
+//!   "meta": { "schema_version": 6, ... },
 //!   "cells": [ { "kind": "throughput", ... }, ... ],
 //!   "warnings": [ "..." ]
 //! }
 //! ```
 
 use harness::{Histogram, LatencyResult, QualityResult, ThroughputResult};
+use checker::CheckReport;
 use pq_traits::telemetry::{self, EventCounts};
 
 /// Version of the exported JSON layout, bumped on breaking shape
@@ -31,11 +34,14 @@ use pq_traits::telemetry::{self, EventCounts};
 /// added the host's `nproc` and the `oversubscribed` flag, so a
 /// recorded run states whether its thread count was scaling or
 /// time-slicing; version 5 dropped `features.trace` (the flight
-/// recorder is compiled into every build and switched on by `--trace`).
-pub const SCHEMA_VERSION: u32 = 5;
+/// recorder is compiled into every build and switched on by `--trace`);
+/// version 6 dropped `features` and the top-level `telemetry_enabled`
+/// (event counting is compiled into every build and switched on
+/// whenever a binary writes `--metrics`).
+pub const SCHEMA_VERSION: u32 = 6;
 
 /// The self-describing `meta` object every JSON export embeds: schema
-/// version, compiled feature switches, worker thread count (0 when the
+/// version, worker thread count (0 when the
 /// export spans several thread counts and the per-cell value governs),
 /// host OS/arch, hardware thread count, whether `threads` exceeds it,
 /// and the runtime-detected CPU feature set, so a BENCH_*.json can be
@@ -50,12 +56,10 @@ pub(crate) fn run_metadata_json(threads: usize) -> String {
     format!(
         "{{\"schema_version\": {SCHEMA_VERSION}, \"os\": \"{}\", \"arch\": \"{}\", \
          \"threads\": {threads}, \"nproc\": {nproc}, \"oversubscribed\": {}, \
-         \"cpu_features\": [{cpu_features}], \
-         \"features\": {{\"telemetry\": {}}}}}",
+         \"cpu_features\": [{cpu_features}]}}",
         json_escape(std::env::consts::OS),
         json_escape(std::env::consts::ARCH),
         threads > nproc,
-        telemetry::enabled(),
     )
 }
 
@@ -96,6 +100,11 @@ pub(crate) fn json_escape(s: &str) -> String {
         }
     }
     out
+}
+
+/// Render an optional integer as a JSON value (`None` is `null`).
+fn json_opt_u64(v: Option<u64>) -> String {
+    v.map_or("null".to_owned(), |v| v.to_string())
 }
 
 /// Render an `f64` as a JSON value; non-finite values become `null`
@@ -277,11 +286,12 @@ impl MetricsReport {
         ));
     }
 
-    /// Add a checker cell: the semantic checker's per-cell report (its
-    /// own JSON object, `"kind": "checker"`), plus the telemetry events
-    /// recorded while the cell ran. Flags a warning per violating cell
-    /// so report consumers can't miss a red matrix entry.
-    pub fn push_checker_cell(&mut self, r: &checker::CheckReport, events: &EventCounts) {
+    /// Add a checker cell: the semantic checker's run statistics and
+    /// verdicts, with the deterministic violation counters as the
+    /// nested [`CheckReport::violation_json`] object, plus the telemetry
+    /// events recorded while the cell ran. Flags a warning per violating
+    /// cell so report consumers can't miss a red matrix entry.
+    pub fn push_checker_cell(&mut self, r: &CheckReport, events: &EventCounts) {
         self.max_threads = self.max_threads.max(r.threads);
         if !r.is_clean() {
             self.push_warning(&format!(
@@ -292,12 +302,33 @@ impl MetricsReport {
                 r.violations_total()
             ));
         }
-        let cell = r.to_json();
-        // Splice the events object into the checker's JSON cell.
-        debug_assert!(cell.ends_with('}'));
         self.cells.push(format!(
-            "{}, \"events\": {}}}",
-            &cell[..cell.len() - 1],
+            "{{\"kind\": \"checker\", \"queue\": \"{}\", \"threads\": {}, \
+             \"workload\": \"{}\", \"key_dist\": \"{}\", \"seed\": {}, \
+             \"chaos_seed\": {}, \"inserts\": {}, \"deletes\": {}, \
+             \"empty_deletes\": {}, \"flushed_items\": {}, \
+             \"rank_checked\": {}, \"rank_max\": {}, \"rank_mean\": {}, \
+             \"rank_bound\": {}, \"rank_bound_enforced\": {}, \
+             \"rank_slack\": {}, \"strict\": {}, \
+             \"violations\": {}, \"events\": {}}}",
+            json_escape(&r.queue),
+            r.threads,
+            json_escape(&r.workload),
+            json_escape(&r.key_dist),
+            r.seed,
+            json_opt_u64(r.chaos_seed),
+            r.inserts,
+            r.deletes,
+            r.empty_deletes,
+            r.flushed_items,
+            r.rank_checked,
+            r.rank_max,
+            json_f64(r.rank_mean),
+            json_opt_u64(r.rank_bound),
+            r.rank_bound_enforced,
+            r.rank_slack,
+            r.strict,
+            r.violation_json(),
             events_json(events),
         ));
     }
@@ -317,11 +348,10 @@ impl MetricsReport {
             .collect::<Vec<_>>()
             .join(",\n");
         format!(
-            "{{\n  \"tool\": \"{}\",\n  \"telemetry_enabled\": {},\n  \"meta\": {},\n  \
+            "{{\n  \"tool\": \"{}\",\n  \"meta\": {},\n  \
              \"cells\": [\n{cells}\n  ],\n  \
              \"warnings\": [\n{warnings}\n  ]\n}}\n",
             json_escape(&self.tool),
-            telemetry::enabled(),
             run_metadata_json(self.max_threads),
         )
     }
@@ -375,7 +405,6 @@ mod tests {
             threads: 2,
             per_rep_ops_per_sec: vec![1e6, 1.1e6],
             summary: Summary::of(&[1e6, 1.1e6]),
-            last_rep_thread_ops: vec![500, 500],
             per_rep_thread_ops: vec![vec![500, 500], vec![550, 550]],
             tick_ms: 10.0,
             per_rep_ticks: ticks,
@@ -384,7 +413,7 @@ mod tests {
 
     #[test]
     fn checker_cell_embeds_report_and_warns_on_violations() {
-        let mut r = checker::CheckReport {
+        let mut r = CheckReport {
             queue: "testq".into(),
             threads: 2,
             workload: "uniform".into(),
@@ -415,14 +444,25 @@ mod tests {
         assert_balanced(&json);
         assert!(json.contains("\"kind\": \"checker\""));
         assert!(json.contains("\"chaos_seed\": 9"));
+        assert!(json.contains("\"rank_mean\": 0.500000"));
+        assert!(json.contains("\"rank_bound\": 0,"));
         assert!(json.contains("\"events\": {"));
         assert!(json.contains("checker violations in testq"));
-        // A clean report adds no warning.
+        // The deterministic violation counters are one nested object.
+        assert!(json.contains(&format!("\"violations\": {}", r.violation_json())));
+        // A clean report adds no warning; absent seeds and bounds are
+        // null.
         r.lost = 0;
+        r.chaos_seed = None;
+        r.rank_bound = None;
         let mut clean = MetricsReport::new("checker_stress");
         clean.push_checker_cell(&r, &EventCounts::default());
-        assert!(!clean.to_json().contains("checker violations"));
-        assert_balanced(&clean.to_json());
+        let json = clean.to_json();
+        assert_balanced(&json);
+        assert!(!json.contains("checker violations"));
+        assert!(json.contains("\"chaos_seed\": null"));
+        assert!(json.contains("\"rank_bound\": null"));
+        assert!(json.contains(&r.violation_json()));
     }
 
     #[test]
@@ -535,9 +575,10 @@ mod tests {
         assert!(json.contains(&format!("\"arch\": \"{}\"", std::env::consts::ARCH)));
         // The meta thread count is the max over cells (2 here).
         assert!(json.contains("\"threads\": 2,"), "meta threads missing: {json}");
-        assert!(json.contains(&format!("\"telemetry\": {}", telemetry::enabled())));
-        // v5: the always-compiled flight recorder is not a feature.
-        assert!(!json.contains("\"trace\""), "meta still lists trace: {json}");
+        // v6: nothing is a compiled feature any more (the recorder and
+        // the counters are switched at run time).
+        assert!(!json.contains("\"features\""), "meta still lists features: {json}");
+        assert!(!json.contains("telemetry_enabled"), "{json}");
         assert!(json.contains("\"cpu_features\": ["), "meta cpu_features missing: {json}");
         // v4: the host's hardware thread count and whether the run
         // exceeded it.

@@ -153,7 +153,6 @@ mod tests {
             threads: 2,
             per_rep_ops_per_sec: vec![mean],
             summary: Summary::of(&[mean]),
-            last_rep_thread_ops: vec![mean as u64 / 2; 2],
             per_rep_thread_ops: vec![vec![mean as u64 / 2; 2]],
             tick_ms: 10.0,
             per_rep_ticks: vec![],

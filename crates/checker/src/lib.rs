@@ -208,16 +208,4 @@ mod tests {
         assert_eq!(broken_a, broken_b);
         assert_ne!(clean_a, broken_a);
     }
-
-    #[test]
-    fn report_json_shapes() {
-        let report = run_and_check(GlobalLockPq::new(), &cfg(1), None);
-        let full = report.to_json();
-        assert!(full.starts_with('{') && full.ends_with('}'));
-        assert!(full.contains("\"kind\": \"checker\""));
-        assert!(full.contains("\"violations\": {"));
-        assert!(full.contains("\"chaos_seed\": null"));
-        let violations = report.violation_json();
-        assert!(full.contains(&violations));
-    }
 }

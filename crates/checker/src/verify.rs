@@ -4,7 +4,7 @@
 use std::collections::{HashMap, HashSet};
 
 use harness::RecordedRun;
-use pq_traits::{Item, Op, RelaxationBound};
+use pq_traits::{Item, Key, Op, RelaxationBound};
 use seqpq::RankMultiset;
 
 use crate::CheckConfig;
@@ -13,7 +13,7 @@ use crate::CheckConfig;
 /// the stamping noise the interval replay cannot eliminate: an
 /// operation's effect lands anywhere between its invocation and
 /// completion stamps, so up to `threads − 1` in-flight peers can
-/// distort a deletion's observed rank at *both* interval endpoints.
+/// distort a deletion's observed rank at every step of its interval.
 /// `4·threads` with a floor of 16 separates real bound violations (the
 /// mutation wrappers produce ranks ≳ 60) from that noise with margin
 /// on both sides.
@@ -126,45 +126,19 @@ impl CheckReport {
             self.residual_order_violations,
         )
     }
+}
 
-    /// Full JSON object for this cell (superset of
-    /// [`CheckReport::violation_json`], plus run statistics).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"kind\": \"checker\", \"queue\": \"{}\", \"threads\": {}, \
-             \"workload\": \"{}\", \"key_dist\": \"{}\", \"seed\": {}, \
-             \"chaos_seed\": {}, \"inserts\": {}, \"deletes\": {}, \
-             \"empty_deletes\": {}, \"flushed_items\": {}, \
-             \"rank_checked\": {}, \"rank_max\": {}, \"rank_mean\": {}, \
-             \"rank_bound\": {}, \"rank_bound_enforced\": {}, \
-             \"rank_slack\": {}, \"strict\": {}, \
-             \"violations\": {}}}",
-            json_escape(&self.queue),
-            self.threads,
-            json_escape(&self.workload),
-            json_escape(&self.key_dist),
-            self.seed,
-            self.chaos_seed
-                .map_or("null".to_owned(), |s| s.to_string()),
-            self.inserts,
-            self.deletes,
-            self.empty_deletes,
-            self.flushed_items,
-            self.rank_checked,
-            self.rank_max,
-            if self.rank_mean.is_finite() {
-                format!("{:.6}", self.rank_mean)
-            } else {
-                "null".to_owned()
-            },
-            self.rank_bound
-                .map_or("null".to_owned(), |b| b.to_string()),
-            self.rank_bound_enforced,
-            self.rank_slack,
-            self.strict,
-            self.violation_json(),
-        )
-    }
+/// A successful deletion between its invocation probe and its
+/// completion in the rank replay.
+struct InFlight {
+    /// Index of its record.
+    rec_idx: usize,
+    /// The key it returned.
+    key: Key,
+    /// Live items with a smaller key at this replay step.
+    now: u64,
+    /// The lowest `now` since the probe.
+    low: u64,
 }
 
 fn json_escape(s: &str) -> String {
@@ -191,9 +165,10 @@ fn json_escape(s: &str) -> String {
 /// 2. **Rank replay** — all records merged by logical timestamp and
 ///    replayed through a [`RankMultiset`]; each deletion's rank
 ///    (count of strictly smaller keys present, taken as the minimum
-///    over the operation's invocation/completion interval so in-flight
-///    concurrency cannot masquerade as relaxation) must stay within
-///    the declared [`RelaxationBound`] plus [`rank_slack`].
+///    over every replay step from the operation's invocation stamp to
+///    its completion stamp, since its effect landed somewhere in
+///    between) must stay within the declared [`RelaxationBound`] plus
+///    [`rank_slack`].
 /// 3. **Strict spot checks** (declared bound 0 only) — per-thread
 ///    drain-phase deletions are non-decreasing, and the single-threaded
 ///    residual sweep is exactly sorted.
@@ -273,15 +248,17 @@ pub fn check<Q: RelaxationBound>(
     // processed at its unique completion stamp; each successful
     // deletion additionally gets a probe point at its invocation stamp,
     // where its would-be rank is sampled *before* any operation that
-    // completed later takes effect. An op whose invocation load
+    // completed later takes effect, and from where the replay follows
+    // that rank to the deletion's completion. An op whose invocation load
     // returned `v` started after every op with completion stamp `< v`
     // had finished, so probes (`false`) sort before same-valued
     // completions (`true`).
     let records: Vec<_> = run.histories.iter().flatten().copied().collect();
     let mut events: Vec<(u64, bool, usize)> = Vec::with_capacity(records.len() * 2);
-    // Sampled invocation-time rank, indexed like `records` (only delete
-    // records' slots are used).
-    let mut start_ranks: Vec<u64> = vec![0; records.len()];
+    // Deletions between their probe and their completion. A thread has
+    // one operation in flight at a time, so this holds at most one
+    // entry per thread.
+    let mut in_flight: Vec<InFlight> = Vec::new();
     for (rec_idx, rec) in records.iter().enumerate() {
         if let Op::DeleteMin(Some(_)) = rec.op {
             events.push((rec.start, false, rec_idx));
@@ -311,7 +288,8 @@ pub fn check<Q: RelaxationBound>(
         match records[rec_idx].op {
             // Only deletions have probe points.
             Op::DeleteMin(Some(item)) if !commit => {
-                start_ranks[rec_idx] = live.rank_below(item.key);
+                let rank = live.rank_below(item.key);
+                in_flight.push(InFlight { rec_idx, key: item.key, now: rank, low: rank });
             }
             Op::Insert(item) => {
                 report.inserts += 1;
@@ -323,19 +301,36 @@ pub fn check<Q: RelaxationBound>(
                             pending.remove(&item);
                         }
                     }
-                    None => live.insert(item),
+                    None => {
+                        live.insert(item);
+                        for d in in_flight.iter_mut().filter(|d| item.key < d.key) {
+                            d.now += 1;
+                        }
+                    }
                 }
             }
             Op::DeleteMin(Some(item)) => {
                 report.deletes += 1;
                 // Rank before removal: strictly smaller keys present.
-                // The effect landed somewhere in [start, ts]; an
-                // interval endpoint where the rank was small exonerates
-                // the queue (e.g. items inserted while this delete was
-                // in flight inflate the completion-time rank but not
-                // the invocation-time one), so judge the minimum.
-                let rank = start_ranks[rec_idx].min(live.rank_below(item.key));
+                // The effect landed somewhere in [start, ts]; a step of
+                // the replay in between where the rank was small
+                // exonerates the queue, so judge the lowest rank since
+                // the probe. Both endpoints can be high when the
+                // deletion is in flight long: peers delete the smaller
+                // items present at its invocation, then inserters add
+                // new smaller ones before its completion.
+                let at = in_flight
+                    .iter()
+                    .position(|d| d.rec_idx == rec_idx)
+                    .expect("a deletion is probed before it completes");
+                let d = in_flight.swap_remove(at);
+                debug_assert_eq!(d.now, live.rank_below(item.key));
+                let rank = d.low;
                 if live.remove(&item) {
+                    for d in in_flight.iter_mut().filter(|d| item.key < d.key) {
+                        d.now -= 1;
+                        d.low = d.low.min(d.now);
+                    }
                     report.rank_checked += 1;
                     rank_sum += rank;
                     report.rank_max = report.rank_max.max(rank);
@@ -533,5 +528,26 @@ mod tests {
         // both endpoints and is a violation.
         let r = check_histories(vec![history(21)]);
         assert_eq!((r.rank_checked, r.rank_max, r.rank_violations), (1, 20, 1));
+    }
+
+    #[test]
+    fn deletion_is_judged_on_its_lowest_rank_while_in_flight() {
+        // `(100, 0)` and 20 smaller keys are live when the deletion is
+        // invoked (stamp 21). A peer deletes the 20 (stamps 21–40), then
+        // inserts 20 new smaller keys (41–60) before the deletion
+        // completes (61), and finally drains them (62–81). The rank is
+        // 20 at both endpoints but 0 between stamps 40 and 41, where
+        // the deletion can take effect: a strict queue did nothing
+        // wrong. This is the schedule of a deleter descheduled while
+        // the other threads keep a split workload running.
+        let mut setup = vec![rec(0, 0, ins(100, 0))];
+        setup.extend((1..=20).map(|k| rec(k, k, ins(50 + k, k))));
+        let mut peer: Vec<_> = (1..=20).map(|k| rec(20 + k, 20 + k, del(50 + k, k))).collect();
+        peer.extend((1..=20).map(|k| rec(40 + k, 40 + k, ins(k, 100 + k))));
+        peer.extend((1..=20).map(|k| rec(61 + k, 61 + k, del(k, 100 + k))));
+        let deleter = vec![rec(21, 61, del(100, 0))];
+        let r = check_histories(vec![setup, peer, deleter]);
+        assert!(r.is_clean(), "{}", r.violation_json());
+        assert_eq!((r.rank_checked, r.rank_max), (41, 0));
     }
 }

@@ -50,18 +50,11 @@ pub struct ThroughputResult {
     pub per_rep_ops_per_sec: Vec<f64>,
     /// Summary over repetitions.
     pub summary: Summary,
-    /// Per-thread operation counts of the *last* repetition only — the
-    /// name says so because this is **not** an aggregate over reps
-    /// (reconciling it against [`ThroughputResult::summary`] totals
-    /// would be wrong; it was previously called `per_thread_ops`, which
-    /// read like one). Prefer [`ThroughputResult::per_rep_thread_ops`]
-    /// for anything quantitative. Exposes fairness (a queue whose slow
-    /// path starves some threads shows a skewed distribution even when
-    /// the total looks healthy).
-    pub last_rep_thread_ops: Vec<u64>,
-    /// Per-thread operation counts of *every* repetition (outer index =
-    /// repetition), so fairness can be summarized with a confidence
-    /// interval like throughput instead of a single-rep snapshot.
+    /// Per-thread operation counts of every repetition (outer index =
+    /// repetition). Exposes fairness (a queue whose slow path starves
+    /// some threads shows a skewed distribution even when the total
+    /// looks healthy), summarized over repetitions with a confidence
+    /// interval like throughput.
     pub per_rep_thread_ops: Vec<Vec<u64>>,
     /// Sampling tick of the time-sliced series, in milliseconds.
     pub tick_ms: f64,
@@ -78,13 +71,7 @@ impl ThroughputResult {
     }
 
     /// Fairness as min/max of per-thread op counts in [0, 1]; 1.0 means
-    /// perfectly even progress, small values mean starvation. Computed
-    /// over the last repetition (see [`Self::fairness_summary`] for the
-    /// all-reps view).
-    pub fn fairness(&self) -> f64 {
-        Self::fairness_of(&self.last_rep_thread_ops)
-    }
-
+    /// perfectly even progress, small values mean starvation.
     fn fairness_of(counts: &[u64]) -> f64 {
         let max = counts.iter().copied().max().unwrap_or(0);
         let min = counts.iter().copied().min().unwrap_or(0);
@@ -224,7 +211,6 @@ fn assemble(queue: String, cfg: &BenchConfig, reps: Vec<RepOutcome>) -> Throughp
         threads: cfg.threads,
         summary: Summary::of(&per_rep_ops_per_sec),
         per_rep_ops_per_sec,
-        last_rep_thread_ops: per_rep_thread_ops.last().cloned().unwrap_or_default(),
         per_rep_thread_ops,
         tick_ms: tick_for(&cfg.stop).as_secs_f64() * 1e3,
         per_rep_ticks,
@@ -475,29 +461,16 @@ mod tests {
     }
 
     #[test]
-    fn last_rep_thread_ops_and_fairness_reported() {
-        let mut cfg = tiny_cfg(2);
-        cfg.stop = StopCondition::OpsPerThread(500);
-        cfg.reps = 1;
-        let r = run_throughput(QueueSpec::MultiQueue(4, 1, 1), &cfg);
-        assert_eq!(r.last_rep_thread_ops.len(), 2);
-        // Fixed-ops mode: both threads do exactly 500 ops → fairness 1.
-        assert_eq!(r.last_rep_thread_ops, vec![500, 500]);
-        assert_eq!(r.fairness(), 1.0);
-    }
-
-    #[test]
-    fn last_rep_thread_ops_kept_for_every_rep() {
+    fn thread_ops_and_fairness_kept_for_every_rep() {
         let mut cfg = tiny_cfg(2);
         cfg.stop = StopCondition::OpsPerThread(400);
         cfg.reps = 3;
         let r = run_throughput(QueueSpec::MultiQueue(4, 1, 1), &cfg);
         assert_eq!(r.per_rep_thread_ops.len(), 3);
+        // Fixed-ops mode: both threads do exactly 400 ops → fairness 1.
         for rep in &r.per_rep_thread_ops {
             assert_eq!(rep, &vec![400, 400]);
         }
-        // Compatibility: the flat field still mirrors the last rep.
-        assert_eq!(r.last_rep_thread_ops, r.per_rep_thread_ops[2]);
         assert_eq!(r.fairness_per_rep(), vec![1.0; 3]);
         assert_eq!(r.fairness_summary().mean, 1.0);
     }
@@ -507,8 +480,7 @@ mod tests {
         // Regression for the old `per_thread_ops` field, which silently
         // held only the last repetition while reading like an aggregate:
         // every repetition's per-thread counts must sum to that rep's
-        // total (exact in fixed-ops mode), and the flat field must equal
-        // the last rep — never a sum across reps.
+        // total (exact in fixed-ops mode).
         let mut cfg = tiny_cfg(3);
         cfg.stop = StopCondition::OpsPerThread(250);
         cfg.reps = 4;
@@ -526,12 +498,6 @@ mod tests {
             .flat_map(|rep| rep.iter())
             .sum();
         assert_eq!(all_reps_sum, 4 * 3 * 250);
-        assert_eq!(
-            r.last_rep_thread_ops.iter().sum::<u64>(),
-            3 * 250,
-            "last_rep_thread_ops is one rep, not an aggregate"
-        );
-        assert_eq!(r.last_rep_thread_ops, *r.per_rep_thread_ops.last().unwrap());
     }
 
     #[test]
@@ -558,7 +524,7 @@ mod tests {
         assert_eq!(r.per_rep_ticks.len(), 1);
         let ticks = &r.per_rep_ticks[0];
         assert!(ticks.len() >= 5, "only {} ticks in a 100ms window", ticks.len());
-        let total: u64 = r.last_rep_thread_ops.iter().sum();
+        let total: u64 = r.per_rep_thread_ops[0].iter().sum();
         assert!(ticks.iter().sum::<u64>() <= total);
         assert!(ticks.iter().any(|&t| t > 0), "all ticks empty");
     }
@@ -608,7 +574,7 @@ mod tests {
         assert_eq!(r.queue, "custom-mq");
         assert_eq!(r.per_rep_ops_per_sec.len(), 2);
         assert!(r.summary.mean > 0.0);
-        assert_eq!(r.last_rep_thread_ops, vec![500, 500]);
+        assert_eq!(r.per_rep_thread_ops, vec![vec![500, 500]; 2]);
     }
 
     #[test]
@@ -618,7 +584,6 @@ mod tests {
             threads: 2,
             per_rep_ops_per_sec: vec![],
             summary: crate::Summary::of(&[]),
-            last_rep_thread_ops: vec![],
             per_rep_thread_ops: vec![],
             tick_ms: 10.0,
             per_rep_ticks: ticks,
@@ -646,12 +611,11 @@ mod tests {
             threads: 0,
             per_rep_ops_per_sec: vec![],
             summary: crate::Summary::of(&[]),
-            last_rep_thread_ops: vec![],
             per_rep_thread_ops: vec![],
             tick_ms: 0.0,
             per_rep_ticks: vec![],
         };
-        assert_eq!(r.fairness(), 0.0);
+        assert_eq!(ThroughputResult::fairness_of(&[]), 0.0);
         assert!(r.fairness_per_rep().is_empty());
     }
 }

@@ -695,11 +695,12 @@ mod tests {
 
     /// Every LSM telemetry counter names a path the one production
     /// configuration takes. Counters are process-wide and monotone, so
-    /// sibling tests can only add to the deltas asserted here.
-    #[cfg(feature = "telemetry")]
+    /// sibling tests can only add to the deltas asserted here; no test
+    /// in this crate switches counting off.
     #[test]
     fn lsm_counters_all_fire() {
-        use pq_traits::telemetry::{snapshot, Event};
+        use pq_traits::telemetry::{set_enabled, snapshot, Event};
+        set_enabled(true);
         let before = snapshot();
         let mut l = Lsm::new();
         for k in 0..512u64 {

@@ -13,7 +13,7 @@
 //! two plain `u64` increments. The same events are additionally mirrored
 //! into [`pq_traits::telemetry`] (`lsm_pool_hit` / `lsm_pool_miss` /
 //! `lsm_pool_recycled_bytes`) so concurrent harness runs can export pool
-//! behaviour per benchmark cell behind the `telemetry` cargo feature.
+//! behaviour per benchmark cell once event counting is switched on.
 
 use pq_traits::telemetry;
 use pq_traits::Item;
@@ -26,8 +26,8 @@ const MAX_FREE_PER_CLASS: usize = 4;
 /// Plain counters describing pool behaviour since construction.
 ///
 /// Always maintained (they cost two non-atomic increments per pool
-/// operation), independent of the `telemetry` cargo feature, so the
-/// microbenchmarks can report hit rates from any build.
+/// operation), whether or not event counting is on, so the
+/// microbenchmarks can report hit rates from any run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Buffer requests served from a free list.

@@ -9,15 +9,15 @@
 //!
 //! This file intentionally contains a single `#[test]`: the counter is
 //! process-global, and a sibling test running on another thread would
-//! pollute the measured window. CI runs it under both `telemetry`
-//! feature states (the telemetry shard and chaos hook must not allocate
-//! on the hot path either).
+//! pollute the measured window. The test measures with event counting
+//! off and then on, in the same process: recording into the telemetry
+//! shard must not allocate on the hot path either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use lsm::Lsm;
-use pq_traits::SequentialPq;
+use pq_traits::{telemetry, SequentialPq};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
@@ -76,30 +76,38 @@ fn steady_state_insert_delete_allocates_nothing() {
     while l.len() > SIZE {
         l.delete_min();
     }
-    // Warmup, phase 2: the exact workload shape of the measured phase
-    // (uniform keys, alternating insert/delete at constant size), long
-    // enough to touch every pool class and telemetry/chaos thread-local
-    // the steady state uses.
-    for _ in 0..OPS {
-        l.insert(next_key(&mut rng), 0);
-        l.delete_min().expect("non-empty by construction");
-    }
+    for counting in [false, true] {
+        telemetry::set_enabled(counting);
+        // Warmup, phase 2: the exact workload shape of the measured
+        // phase (uniform keys, alternating insert/delete at constant
+        // size), long enough to touch every pool class and the
+        // telemetry thread-local the steady state uses.
+        for _ in 0..OPS {
+            l.insert(next_key(&mut rng), 0);
+            l.delete_min().expect("non-empty by construction");
+        }
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for _ in 0..OPS {
-        l.insert(next_key(&mut rng), 0);
-        l.delete_min().expect("non-empty by construction");
-    }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let events = telemetry::snapshot();
+        for _ in 0..OPS {
+            l.insert(next_key(&mut rng), 0);
+            l.delete_min().expect("non-empty by construction");
+        }
+        let after = ALLOCATIONS.load(Ordering::SeqCst);
+        let counted = telemetry::snapshot().since(&events).total();
 
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state insert/delete-min allocated {} time(s) over {OPS} op pairs \
-         (pool stats: {:?})",
-        after - before,
-        l.pool_stats()
-    );
+        assert_eq!(
+            after - before,
+            0,
+            "steady-state insert/delete-min allocated {} time(s) over {OPS} op pairs \
+             with counting {} (pool stats: {:?})",
+            after - before,
+            if counting { "on" } else { "off" },
+            l.pool_stats()
+        );
+        // The measured window really ran with counting in that state.
+        assert_eq!(counted > 0, counting, "{counted} events counted");
+    }
 
     // Sanity: the pool really is carrying the load.
     let stats = l.pool_stats();

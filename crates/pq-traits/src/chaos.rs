@@ -13,11 +13,11 @@
 //! reproducible (the OS scheduler still has the last word, but a failing
 //! seed usually keeps failing).
 //!
-//! Chaos is a **runtime** switch, not a cargo feature: the queues'
-//! telemetry call sites sit on slow paths only, so the disabled cost —
-//! one relaxed load and a predicted branch — is noise there, and a
-//! runtime flag avoids feature-unification surprises across the
-//! workspace. When disabled (the default), nothing else happens.
+//! Chaos is a **runtime** switch, not a cargo feature: [`configure`]
+//! and [`disable`] flip the CHAOS bit of the telemetry hook word, so
+//! while nothing is switched on an event site costs the one relaxed
+//! load and predicted branch it pays anyway. When disabled (the
+//! default), nothing else happens.
 //!
 //! Per-thread streams derive from `global seed ⊕ mix(registration
 //! index)` using the same mixing as [`crate::seed::handle_seed`];
@@ -28,9 +28,9 @@ use core::sync::atomic::{AtomicU64, Ordering};
 use std::cell::Cell;
 
 use crate::seed::handle_seed;
-use crate::telemetry::Event;
+use crate::telemetry::{hook, Event};
 
-/// 0 = disabled; any other value is the current configuration epoch.
+/// The current configuration epoch; 0 until the first [`configure`].
 static EPOCH: AtomicU64 = AtomicU64::new(0);
 static SEED: AtomicU64 = AtomicU64::new(0);
 /// Per-mille probability of a `yield_now` per event.
@@ -97,16 +97,18 @@ pub fn configure(cfg: ChaosConfig) {
         next = 1;
     }
     EPOCH.store(next, Ordering::Release);
+    hook::set(hook::CHAOS, true);
 }
 
 /// Disable chaos injection process-wide.
 pub fn disable() {
-    EPOCH.store(0, Ordering::Release);
+    hook::set(hook::CHAOS, false);
 }
 
 /// `true` while chaos injection is configured on.
+#[inline]
 pub fn enabled() -> bool {
-    EPOCH.load(Ordering::Relaxed) != 0
+    hook::load() & hook::CHAOS != 0
 }
 
 /// Perturbations injected since the last [`configure`] (diagnostic
@@ -116,7 +118,8 @@ pub fn injected() -> u64 {
 }
 
 /// Telemetry hook: called by [`crate::telemetry::record_n`] for every
-/// recorded event. A single relaxed load when chaos is off.
+/// recorded event while chaos is on. A single relaxed load when chaos
+/// is off.
 #[inline]
 pub fn on_event(_event: Event) {
     tick();
@@ -129,11 +132,10 @@ pub fn on_event(_event: Event) {
 /// on every operation, so the checker stresses every queue uniformly.
 #[inline]
 pub fn tick() {
-    let epoch = EPOCH.load(Ordering::Relaxed);
-    if epoch == 0 {
+    if !enabled() {
         return;
     }
-    perturb(epoch);
+    perturb(EPOCH.load(Ordering::Acquire));
 }
 
 #[cold]

@@ -15,14 +15,15 @@
 //! relaxed `fetch_add` on a thread-private cache line — no shared-line
 //! ping-pong even with dozens of threads hammering the same event.
 //!
-//! The counters are gated on the `telemetry` cargo feature: without
-//! it, [`snapshot`] returns all zeros and the counting side of
-//! [`record`]/[`record_n`] compiles to nothing. What always remains is
-//! the [`crate::chaos`] hook — one relaxed load per call site — so the
-//! schedule-perturbation stress layer can piggyback on these same
-//! slow-path markers without a separate build. With the feature on,
-//! every counted event is also forwarded to the [`crate::trace`]
-//! flight recorder. Check [`enabled`] before paying for anything (e.g.
+//! Every build compiles one recording path, switched at run time by a
+//! hook word with one bit per consumer of an event: the
+//! [`crate::chaos`] schedule-perturbation shim, these counters
+//! ([`set_enabled`]) and the [`crate::trace`] flight recorder. An event
+//! site loads the word once and returns if it is 0, so with everything
+//! off (the default) it costs one relaxed load and a predicted branch;
+//! otherwise an out-of-line path serves each consumer whose bit is set.
+//! The benchmark binaries switch counting on for `--metrics` and
+//! `--trace`. Check [`enabled`] before paying for anything (e.g.
 //! pre-computing a count to pass to [`record_n`]).
 //!
 //! Counters are process-global and **monotone** — there is deliberately
@@ -35,7 +36,8 @@
 //! land between its two snapshots (true when the cell joins its worker
 //! threads before the closing snapshot).
 
-use core::sync::atomic::AtomicU64;
+use core::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A queue-internal event worth counting.
 ///
@@ -185,15 +187,15 @@ impl EventCounts {
         self.counts.iter().sum()
     }
 
-    /// `true` if no event was recorded (always the case with the
-    /// `telemetry` feature disabled).
+    /// `true` if no event was recorded (always the case while counting
+    /// has never been switched on).
     pub fn is_zero(&self) -> bool {
         self.counts.iter().all(|&c| c == 0)
     }
 
     /// Per-event difference `self − earlier`, saturating at zero (counts
-    /// are monotone between resets, so saturation only absorbs a
-    /// concurrent reset).
+    /// are monotone, so saturation only absorbs snapshots passed in
+    /// the wrong order).
     pub fn since(&self, earlier: &EventCounts) -> EventCounts {
         let mut out = EventCounts::default();
         for i in 0..Event::COUNT {
@@ -203,10 +205,54 @@ impl EventCounts {
     }
 }
 
-/// `true` when the crate was built with the `telemetry` feature, i.e.
-/// when [`record`] actually records.
-pub const fn enabled() -> bool {
-    cfg!(feature = "telemetry")
+/// Bits of the run-time hook word: which of the three consumers of a
+/// recorded event are switched on. [`crate::chaos::configure`] and
+/// [`crate::chaos::disable`] flip [`hook::CHAOS`], [`set_enabled`]
+/// flips [`hook::COUNT`], [`crate::trace::start`] and
+/// [`crate::trace::stop`] flip [`hook::TRACE`].
+pub(crate) mod hook {
+    use core::sync::atomic::{AtomicU8, Ordering};
+
+    /// Perturb the schedule at every non-quiet event site.
+    pub const CHAOS: u8 = 1;
+    /// Add every event to the counter shards.
+    pub const COUNT: u8 = 2;
+    /// Push every event into the flight recorder.
+    pub const TRACE: u8 = 4;
+
+    /// The hook word. The cargo feature `telemetry` only presets COUNT,
+    /// for builds that want counting on without calling `set_enabled`.
+    static HOOKS: AtomicU8 = AtomicU8::new(if cfg!(feature = "telemetry") { COUNT } else { 0 });
+
+    /// The current hook bits (one relaxed load).
+    #[inline]
+    pub fn load() -> u8 {
+        HOOKS.load(Ordering::Relaxed)
+    }
+
+    /// Set (`on`) or clear `bit`. Release, so a thread that sees the
+    /// bit also sees the state its switch published first (the chaos
+    /// configuration, the recorder's start marks).
+    pub fn set(bit: u8, on: bool) {
+        if on {
+            HOOKS.fetch_or(bit, Ordering::Release);
+        } else {
+            HOOKS.fetch_and(!bit, Ordering::Release);
+        }
+    }
+}
+
+/// Switch event counting on or off, process-wide. Off is the default;
+/// the benchmark binaries switch it on for `--metrics` and `--trace`.
+/// Switching it off stops counting but keeps what was counted.
+pub fn set_enabled(on: bool) {
+    hook::set(hook::COUNT, on);
+}
+
+/// `true` while events are counted (see [`set_enabled`]).
+#[inline]
+pub fn enabled() -> bool {
+    hook::load() & hook::COUNT != 0
 }
 
 /// Record one occurrence of `event`.
@@ -218,40 +264,63 @@ pub fn record(event: Event) {
 /// Record `n` occurrences of `event` (bulk counters such as
 /// [`Event::DlsmSpyItems`]).
 ///
-/// Also the hook point for the schedule-perturbation shim: every
-/// recorded event is forwarded to [`crate::chaos::on_event`] (one
-/// relaxed load while chaos is disabled; may inject a yield or bounded
-/// spin during a stress run) whether or not the `telemetry` feature is
-/// on — the events mark the interesting slow-path transitions either
-/// way. The flight recorder ([`crate::trace::on_event`]) sees the event
-/// only where it is counted, i.e. with the feature on.
+/// One relaxed load of the hook word and a predicted branch while
+/// nothing is switched on. Otherwise the event goes, out of line, to
+/// each consumer whose bit is set: the schedule-perturbation shim
+/// ([`crate::chaos`]; the events mark the interesting slow-path
+/// transitions), the counters, and the flight recorder
+/// ([`crate::trace`]).
 #[inline]
 pub fn record_n(event: Event, n: u64) {
-    crate::chaos::on_event(event);
-    imp::record_n(event, n);
+    let hooks = hook::load();
+    if hooks != 0 {
+        hooked(hooks, event, n);
+    }
 }
 
 /// Record one occurrence of `event` WITHOUT marking a chaos hook point.
 ///
 /// For events on purely sequential internal paths (e.g. the LSM block
 /// pool, which only ever runs under `&mut self`): schedule perturbation
-/// at such a site cannot surface interleavings, so the chaos shim's
-/// relaxed load is pure overhead there. Also for per-operation counters
-/// on hot paths (the SLSM probe), which are not slow-path markers. With the `telemetry` feature
-/// disabled this compiles to nothing at all.
+/// at such a site cannot surface interleavings. Also for per-operation
+/// counters on hot paths (the SLSM probe), which are not slow-path
+/// markers.
 #[inline]
 pub fn record_quiet(event: Event) {
     record_n_quiet(event, 1);
 }
 
 /// As [`record_quiet`], recording `n` occurrences. Quiet only with
-/// respect to chaos: with the `telemetry` feature the flight recorder
-/// still sees the event, since a timeline without the sequential-path
-/// events (pool hits, kernel invocations) would misattribute their
-/// cost to neighboring spans.
+/// respect to chaos: the counters and the flight recorder still see
+/// the event, since a timeline without the sequential-path events
+/// (pool hits, kernel invocations) would misattribute their cost to
+/// neighboring spans.
 #[inline]
 pub fn record_n_quiet(event: Event, n: u64) {
-    imp::record_n(event, n);
+    let hooks = hook::load() & !hook::CHAOS;
+    if hooks != 0 {
+        hooked(hooks, event, n);
+    }
+}
+
+/// The switched-on path of [`record_n`], kept out of line so an event
+/// site costs one load and one branch while every hook is off.
+#[cold]
+#[inline(never)]
+fn hooked(hooks: u8, event: Event, n: u64) {
+    if hooks & hook::CHAOS != 0 {
+        crate::chaos::on_event(event);
+    }
+    if hooks & hook::COUNT != 0 {
+        // The shard is thread-private for writes; the atomic only makes
+        // cross-thread snapshot reads sound, it is never contended.
+        SHARD.with(|s| {
+            s.counts[event as usize].fetch_add(n, Ordering::Relaxed);
+        });
+    }
+    if hooks & hook::TRACE != 0 {
+        crate::trace::on_event(event, n);
+    }
 }
 
 /// Sum every thread's shard into one [`EventCounts`].
@@ -259,21 +328,24 @@ pub fn record_n_quiet(event: Event, n: u64) {
 /// Counters are never reset; bracket a region with two snapshots and
 /// diff them with [`EventCounts::since`] to attribute events to it.
 pub fn snapshot() -> EventCounts {
-    imp::snapshot()
+    let mut out = EventCounts::default();
+    for shard in registry().lock().unwrap().iter() {
+        for e in Event::ALL {
+            out.counts[e as usize] =
+                out.counts[e as usize].wrapping_add(shard.counts[e as usize].load(Ordering::Relaxed));
+        }
+    }
+    out
 }
 
 /// One thread's counter shard, aligned to a cache line so concurrent
-/// recording threads never share one. Kept out of the feature gate so
-/// the type (and its alignment contract) is always compiled and
-/// testable.
+/// recording threads never share one.
 #[repr(align(64))]
-#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
 struct Shard {
     counts: [AtomicU64; Event::COUNT],
 }
 
 impl Shard {
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     fn new() -> Self {
         Self {
             counts: core::array::from_fn(|_| AtomicU64::new(0)),
@@ -281,65 +353,25 @@ impl Shard {
     }
 }
 
-#[cfg(feature = "telemetry")]
-mod imp {
-    use super::{Event, EventCounts, Shard};
-    use core::sync::atomic::Ordering;
-    use std::sync::{Arc, Mutex, OnceLock};
-
-    /// All shards ever created. `Arc` keeps a shard (and its counts)
-    /// alive after its owning thread exits, so totals never regress.
-    fn registry() -> &'static Mutex<Vec<Arc<Shard>>> {
-        static REGISTRY: OnceLock<Mutex<Vec<Arc<Shard>>>> = OnceLock::new();
-        REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-    }
-
-    thread_local! {
-        static SHARD: Arc<Shard> = {
-            let shard = Arc::new(Shard::new());
-            registry().lock().unwrap().push(Arc::clone(&shard));
-            shard
-        };
-    }
-
-    #[inline]
-    pub fn record_n(event: Event, n: u64) {
-        crate::trace::on_event(event, n);
-        // The shard is thread-private for writes; the atomic only makes
-        // cross-thread snapshot reads sound, it is never contended.
-        SHARD.with(|s| {
-            s.counts[event as usize].fetch_add(n, Ordering::Relaxed);
-        });
-    }
-
-    pub fn snapshot() -> EventCounts {
-        let mut out = EventCounts::default();
-        for shard in registry().lock().unwrap().iter() {
-            for e in Event::ALL {
-                out.counts[e as usize] =
-                    out.counts[e as usize].wrapping_add(shard.counts[e as usize].load(Ordering::Relaxed));
-            }
-        }
-        out
-    }
-
+/// All shards ever created. `Arc` keeps a shard (and its counts) alive
+/// after its owning thread exits, so totals never regress.
+fn registry() -> &'static Mutex<Vec<Arc<Shard>>> {
+    static REGISTRY: OnceLock<Mutex<Vec<Arc<Shard>>>> = OnceLock::new();
+    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-#[cfg(not(feature = "telemetry"))]
-mod imp {
-    use super::{Event, EventCounts};
-
-    #[inline(always)]
-    pub fn record_n(_event: Event, _n: u64) {}
-
-    pub fn snapshot() -> EventCounts {
-        EventCounts::default()
-    }
+thread_local! {
+    static SHARD: Arc<Shard> = {
+        let shard = Arc::new(Shard::new());
+        registry().lock().unwrap().push(Arc::clone(&shard));
+        shard
+    };
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::RwLock;
 
     #[test]
     fn names_are_unique_and_snake_case() {
@@ -373,29 +405,40 @@ mod tests {
         assert!(EventCounts::default().is_zero());
     }
 
-    #[cfg(feature = "telemetry")]
+    /// Counting is switched process-wide: tests that switch it on share
+    /// this lock, the test that switches it off holds it alone.
+    static COUNTING: RwLock<()> = RwLock::new(());
+
     #[test]
     fn record_snapshot_reset_roundtrip() {
+        let _on = COUNTING.read().unwrap_or_else(|e| e.into_inner());
+        set_enabled(true);
+        assert!(enabled());
         // Other tests in the process may record concurrently, so assert
         // on deltas of one event from a dedicated thread.
         let before = snapshot().get(Event::SlsmPivotRebuild);
         std::thread::spawn(|| {
             record(Event::SlsmPivotRebuild);
             record_n(Event::SlsmPivotRebuild, 4);
+            record_n_quiet(Event::SlsmPivotRebuild, 2);
         })
         .join()
         .unwrap();
         let after = snapshot().get(Event::SlsmPivotRebuild);
-        assert!(after >= before + 5, "after {after} < before {before} + 5");
-        assert!(enabled());
+        assert!(after >= before + 7, "after {after} < before {before} + 7");
     }
 
-    #[cfg(not(feature = "telemetry"))]
     #[test]
     fn disabled_records_nothing() {
+        let _off = COUNTING.write().unwrap_or_else(|e| e.into_inner());
+        let was = enabled();
+        set_enabled(false);
+        assert!(!enabled());
+        let before = snapshot();
         record(Event::MqEmptySample);
         record_n(Event::MqEmptySample, 100);
-        assert!(snapshot().is_zero());
-        assert!(!enabled());
+        record_quiet(Event::LsmPoolHit);
+        assert_eq!(snapshot(), before);
+        set_enabled(was);
     }
 }

@@ -18,11 +18,11 @@
 //!   [`SpanOp::OpBatch`] span per 64-op batch, reusing the clock read
 //!   the tick sampler already takes per batch; the window-end `flush` is
 //!   recorded individually.
-//! * **Telemetry events** — with the `telemetry` feature, every
-//!   [`crate::telemetry::Event`] the counters record is forwarded here
-//!   with its count, so the queue crates need no instrumentation sites
-//!   of their own. Without the feature the queues' event sites compile
-//!   to nothing and timelines hold spans and phases only.
+//! * **Telemetry events** — while a trace is recording, every
+//!   [`crate::telemetry::Event`] a queue records is forwarded here with
+//!   its count, whether or not the counters are on (the TRACE bit of
+//!   the telemetry hook word routes it), so the queue crates need no
+//!   instrumentation sites of their own.
 //! * **Phase markers** ([`PhaseKind`]) — the harness marks
 //!   prefill/measure/rep boundaries so events can be attributed to
 //!   warm-up vs. steady state.
@@ -30,10 +30,11 @@
 //! # Run-time switch
 //!
 //! Like [`crate::chaos`], the recorder is always compiled and switched
-//! on at run time: [`start`] activates it, [`stop`] deactivates and
-//! drains it. While no trace is recording, every recording function
-//! costs one relaxed load and a predicted branch, and the harness hot
-//! loop tests a local flag taken once per worker.
+//! on at run time: [`start`] sets the TRACE bit of the telemetry hook
+//! word, [`stop`] clears it and drains the rings. While no trace is
+//! recording, every recording function costs one relaxed load and a
+//! predicted branch, and the harness hot loop tests a local flag taken
+//! once per worker.
 //!
 //! # Ring semantics
 //!
@@ -57,11 +58,11 @@
 //! clock-normalized timeline without cross-thread clock games;
 //! [`stop`] rebases them to the cell's [`start`] call.
 
-use core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use core::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::telemetry::Event;
+use crate::telemetry::{hook, Event};
 
 /// Number of `u64` words per ring slot (timestamp, payload, tag).
 const SLOT_WORDS: usize = 3;
@@ -252,8 +253,6 @@ impl Ring {
     }
 }
 
-/// Whether a trace is currently recording.
-static ACTIVE: AtomicBool = AtomicBool::new(false);
 /// Ring capacity for rings created after the latest [`start`].
 static CAPACITY: AtomicU64 = AtomicU64::new(DEFAULT_CAPACITY as u64);
 /// Epoch nanoseconds of the latest [`start`] (drain rebases to it).
@@ -292,7 +291,7 @@ mod class {
 /// `true` while a trace is being recorded ([`start`] … [`stop`]).
 #[inline]
 pub fn active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
+    hook::load() & hook::TRACE != 0
 }
 
 /// Nanoseconds since the process-wide trace epoch. Use sparingly — one
@@ -315,20 +314,21 @@ pub fn start(capacity: usize) {
             .store(ring.head.load(Ordering::Acquire), Ordering::Relaxed);
     }
     START_NS.store(now_ns(), Ordering::Relaxed);
-    ACTIVE.store(true, Ordering::Release);
+    hook::set(hook::TRACE, true);
 }
 
 /// Stop recording and drain every thread's ring into a merged,
 /// clock-normalized [`TraceData`] (timestamps rebased to the matching
-/// [`start`]). Rings of exited threads are released.
+/// [`start`]). Draining consumes the records, so a later `stop` never
+/// reports them again. Rings of exited threads are released.
 pub fn stop() -> TraceData {
-    ACTIVE.store(false, Ordering::Release);
+    hook::set(hook::TRACE, false);
     let start_ns = START_NS.load(Ordering::Relaxed);
     let mut registry = registry().lock().unwrap();
     let mut timelines = Vec::new();
     for ring in registry.iter() {
         let head = ring.head.load(Ordering::Acquire);
-        let mark = ring.mark.load(Ordering::Relaxed);
+        let mark = ring.mark.swap(head, Ordering::Relaxed);
         let since = head.saturating_sub(mark);
         if since == 0 {
             continue;
@@ -416,9 +416,9 @@ pub fn phase(kind: PhaseKind, rep: u32) {
     );
 }
 
-/// Telemetry hook: called for every event the `telemetry` counters
-/// record (see [`crate::telemetry::record_n`]). One relaxed load while
-/// no trace is running.
+/// Telemetry hook: called for every event a queue records while a
+/// trace is running (see [`crate::telemetry::record_n`]). One relaxed
+/// load while no trace is running.
 #[inline]
 pub fn on_event(event: Event, n: u64) {
     if !active() {

@@ -12,12 +12,15 @@
 #     (throughput + latency) and BENCH_flat_combining_rank.json (rank
 #     error);
 #   * checker_stress — one chaos cell plus the mutation tests;
-#   * figures --metrics --trace with telemetry on — produces
-#     artifacts/metrics_smoke.json, the same export with the queues'
-#     event counters, and artifacts/trace_smoke.json, a
+#   * figures --metrics --trace — produces artifacts/metrics_smoke.json,
+#     the same export for the k-LSM family and the skiplist, and
+#     artifacts/trace_smoke.json, a
 #     Chrome-trace-event flight-recorder export (one track per thread
 #     with op spans and event instants, loadable in Perfetto); CI
 #     uploads both as artifacts.
+#
+# Every --metrics or --trace run switches the queues' event counters
+# on, so each export carries them; no special build is needed.
 #
 # Usage: scripts/bench_smoke.sh [THREADS] [DURATION_MS]
 # THREADS defaults to the host's hardware thread count; more than that
@@ -80,11 +83,11 @@ cargo run -p pq-bench --release --offline --bin checker_stress -- \
     --mutation-test \
     --metrics BENCH_checker_smoke.json
 
-echo "== metrics and flight-recorder export smoke (telemetry on) =="
+echo "== metrics and flight-recorder export smoke =="
 # Dropped-record counts are printed by the binary and embedded in the
 # trace export, so ring truncation is never silent (EXPERIMENTS.md
 # "Flight-recorder tracing").
-cargo run -p pq-bench --release --offline --features telemetry --bin figures -- \
+cargo run -p pq-bench --release --offline --bin figures -- \
     --experiment fig4a \
     --queues multiqueue,mq-sticky,klsm256,linden,dlsm,klsm128,klsm4096 \
     --threads 2,"$THREADS" \

@@ -1,11 +1,11 @@
 //! Integration tests for the observability layer.
 //!
-//! The ungated tests reconcile the [`Instrumented`] wrapper's sharded
+//! The first test reconciles the [`Instrumented`] wrapper's sharded
 //! per-handle counters against the exact operation counts the harness
-//! performed. The `telemetry`-feature-gated tests drive each queue into
+//! performed. The event tests switch counting on, drive each queue into
 //! its instrumented slow path and check the process-global event
-//! counters move; with the feature disabled, the same call sites must
-//! compile to nothing and the snapshot stays zero.
+//! counters move; with counting off, the same call sites must record
+//! nothing.
 
 use std::sync::{Arc, Mutex};
 
@@ -60,7 +60,7 @@ fn instrumented_counts_reconcile_with_harness_op_counts() {
         &cfg,
     );
     // Fixed-ops mode: the harness performed exactly OPS ops per thread.
-    assert_eq!(r.last_rep_thread_ops, vec![OPS; THREADS]);
+    assert_eq!(r.per_rep_thread_ops, vec![vec![OPS; THREADS]; REPS]);
     let queues = captured.lock().unwrap();
     assert_eq!(queues.len(), REPS);
     for q in queues.iter() {
@@ -83,11 +83,12 @@ fn instrumented_counts_reconcile_with_harness_op_counts() {
     }
 }
 
-#[cfg(not(feature = "telemetry"))]
 #[test]
 fn telemetry_disabled_records_nothing_through_queues() {
     use pq_traits::PqHandle;
 
+    let _alone = events::exclusive(false);
+    let before = pq_traits::telemetry::snapshot();
     let q = multiqueue_pq::MultiQueue::new(4, 1, 8, 16);
     let mut h = q.handle();
     for k in 0..100u64 {
@@ -96,11 +97,12 @@ fn telemetry_disabled_records_nothing_through_queues() {
     h.flush();
     while h.delete_min().is_some() {}
     assert!(!pq_traits::telemetry::enabled());
-    assert!(pq_traits::telemetry::snapshot().is_zero());
+    assert_eq!(pq_traits::telemetry::snapshot(), before);
 }
 
-#[cfg(feature = "telemetry")]
 mod events {
+    use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+
     use super::Mq;
     use pq_traits::telemetry::{self, Event};
     use pq_traits::{ConcurrentPq, PqHandle};
@@ -109,13 +111,31 @@ mod events {
     // test in this binary touches, so parallel test threads cannot
     // contaminate each other's counts.
 
-    /// Serialises the two tests that count buffer flushes: one of them
-    /// asserts a zero delta, which a parallel flush would break.
-    static FLUSH_COUNTING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    /// Counting is switched process-wide. Tests that need it on share
+    /// this lock ([`counting_on`]); a test that needs it off, or a zero
+    /// delta no parallel test may disturb, holds it alone
+    /// ([`exclusive`]).
+    static COUNTING: RwLock<()> = RwLock::new(());
+
+    /// Switch counting on; while the guard lives, no test switches it
+    /// off.
+    fn counting_on() -> RwLockReadGuard<'static, ()> {
+        let guard = COUNTING.read().unwrap_or_else(|e| e.into_inner());
+        telemetry::set_enabled(true);
+        guard
+    }
+
+    /// Run alone, with counting switched `on` or off.
+    pub(super) fn exclusive(on: bool) -> RwLockWriteGuard<'static, ()> {
+        let guard = COUNTING.write().unwrap_or_else(|e| e.into_inner());
+        telemetry::set_enabled(on);
+        guard
+    }
 
     #[test]
     fn sticky_buffer_flush_items_match_committed_inserts() {
-        let _serial = FLUSH_COUNTING.lock().unwrap_or_else(|e| e.into_inner());
+        // Alone: the next test asserts a zero flush delta.
+        let _alone = exclusive(true);
         let before = telemetry::snapshot();
         let q = multiqueue_pq::MultiQueue::new(4, 2, 8, 16);
         let mut h = q.handle();
@@ -131,7 +151,7 @@ mod events {
 
     #[test]
     fn unbuffered_multiqueue_records_no_buffer_flush() {
-        let _serial = FLUSH_COUNTING.lock().unwrap_or_else(|e| e.into_inner());
+        let _alone = exclusive(true);
         let before = telemetry::snapshot();
         let q = Mq::new(4, 1, 1, 1);
         let mut h = q.handle();
@@ -148,6 +168,7 @@ mod events {
 
     #[test]
     fn dlsm_spy_events_recorded() {
+        let _on = counting_on();
         let before = telemetry::snapshot();
         let d = klsm::dlsm::Dlsm::new(2);
         let mut h1 = d.handle();
@@ -166,6 +187,7 @@ mod events {
 
     #[test]
     fn slsm_pivot_rebuild_recorded_on_drain() {
+        let _on = counting_on();
         let before = telemetry::snapshot();
         let s = klsm::slsm::Slsm::new(0);
         let mut h = s.handle();
@@ -197,6 +219,7 @@ mod events {
     fn slsm_probe_reads_few_flags_and_mostly_shortcuts() {
         use rand::{Rng, SeedableRng};
 
+        let _on = counting_on();
         let before = telemetry::snapshot();
         let q = klsm::Klsm::new(256, 1);
         let mut h = q.handle();
@@ -227,6 +250,7 @@ mod events {
 
     #[test]
     fn mq_empty_sample_recorded_on_empty_queue() {
+        let _on = counting_on();
         let before = telemetry::snapshot();
         let q = Mq::new(2, 1, 1, 1);
         let mut h = q.handle();
@@ -246,6 +270,7 @@ mod events {
     /// matter how the cells interleave.
     #[test]
     fn delta_snapshots_are_sound_under_parallel_cells() {
+        let _on = counting_on();
         const THREADS: usize = 4;
         const EMPTY_DELETES: u64 = 64;
         let before_all = telemetry::snapshot();
@@ -282,6 +307,7 @@ mod events {
 
     #[test]
     fn skiplist_contention_records_cas_retries() {
+        let _on = counting_on();
         // CAS retries need a real race: hammer delete_min/insert pairs
         // from several threads over a tiny key range so claims collide.
         // One round is overwhelmingly likely to record a retry; retry a

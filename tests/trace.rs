@@ -2,7 +2,8 @@
 //! the recorder captures what the acceptance criteria demand — one
 //! timeline per worker thread, op spans at batch granularity, phase
 //! markers, and a Chrome-trace export with one named track per thread.
-//! Without `trace::start`, the same cells must record nothing.
+//! Without `trace::start`, the same cells must record nothing; with
+//! it, queue events arrive whether or not event counting is on.
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -95,7 +96,7 @@ fn four_thread_cell_yields_one_track_per_thread() {
     let r = run_throughput(QueueSpec::parse("multiqueue").unwrap(), &cell_cfg(THREADS));
     let data = trace::stop();
     assert!(!trace::active());
-    assert_eq!(r.last_rep_thread_ops.len(), THREADS);
+    assert_eq!(r.per_rep_thread_ops[0].len(), THREADS);
 
     // Every worker thread produced a timeline holding op spans; the
     // coordinator produced the phase markers.
@@ -124,7 +125,7 @@ fn four_thread_cell_yields_one_track_per_thread() {
 
     // Worker spans account for every measured op: OpBatch spans carry
     // the per-batch op counts.
-    let total_ops: u64 = r.last_rep_thread_ops.iter().sum();
+    let total_ops: u64 = r.per_rep_thread_ops[0].iter().sum();
     let spans = span_totals(all_records(&data));
     assert_eq!(spans.batch_ops, total_ops, "OpBatch spans must cover every op");
     assert_eq!(spans.single_ops, 0, "throughput records no per-op spans");
@@ -170,4 +171,22 @@ fn four_thread_cell_yields_one_track_per_thread() {
         "second cell inherited {} stale records",
         second.records_total()
     );
+}
+
+/// Queue events reach the recorder whether or not the counters are on:
+/// a capture of a klsm cell with counting off (`--trace` alone, in any
+/// build) holds the k-LSM's event instants beside its spans.
+#[test]
+fn trace_alone_captures_queue_events() {
+    let _turn = recorder();
+    // No other test in this binary counts events.
+    pq_traits::telemetry::set_enabled(false);
+    trace::start(trace::DEFAULT_CAPACITY);
+    run_throughput(QueueSpec::parse("klsm256").unwrap(), &cell_cfg(2));
+    let data = trace::stop();
+    let events = all_records(&data)
+        .filter(|rec| matches!(rec.data, RecordData::Event { .. }))
+        .count();
+    assert!(events > 0, "no queue event among {} records", data.records_total());
+    assert!(span_totals(all_records(&data)).batches > 0);
 }
