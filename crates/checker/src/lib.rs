@@ -208,4 +208,22 @@ mod tests {
         assert_eq!(broken_a, broken_b);
         assert_ne!(clean_a, broken_a);
     }
+
+    #[test]
+    fn report_json_shapes() {
+        // The violation object is what a checker cell nests under
+        // "violations": one flat JSON object naming the cell, with an
+        // absent chaos seed as null and a present one as a number.
+        let report = run_and_check(GlobalLockPq::new(), &cfg(1), None);
+        let json = report.violation_json();
+        assert!(json.starts_with('{') && json.ends_with('}'));
+        assert_eq!(json.matches('{').count(), 1);
+        assert_eq!(json.matches('}').count(), 1);
+        assert!(json.contains(&format!("\"queue\": \"{}\"", report.queue)));
+        assert!(json.contains("\"threads\": 1,"));
+        assert!(json.contains("\"chaos_seed\": null"));
+        assert!(json.contains("\"lost\": 0,"));
+        let seeded = run_and_check(GlobalLockPq::new(), &cfg(1), Some(9));
+        assert!(seeded.violation_json().contains("\"chaos_seed\": 9,"));
+    }
 }

@@ -461,11 +461,25 @@ mod tests {
     }
 
     #[test]
-    fn thread_ops_and_fairness_kept_for_every_rep() {
+    fn last_rep_thread_ops_and_fairness_reported() {
+        let mut cfg = tiny_cfg(2);
+        cfg.stop = StopCondition::OpsPerThread(500);
+        cfg.reps = 1;
+        let r = run_throughput(QueueSpec::MultiQueue(4, 1, 1), &cfg);
+        let last = r.per_rep_thread_ops.last().expect("one rep recorded");
+        // Fixed-ops mode: both threads do exactly 500 ops → fairness 1.
+        assert_eq!(last, &vec![500, 500]);
+        assert_eq!(ThroughputResult::fairness_of(last), 1.0);
+        assert_eq!(r.fairness_per_rep(), vec![1.0]);
+    }
+
+    #[test]
+    fn last_rep_thread_ops_kept_for_every_rep() {
         let mut cfg = tiny_cfg(2);
         cfg.stop = StopCondition::OpsPerThread(400);
         cfg.reps = 3;
         let r = run_throughput(QueueSpec::MultiQueue(4, 1, 1), &cfg);
+        // Every rep's counts are kept, not only the last one's.
         assert_eq!(r.per_rep_thread_ops.len(), 3);
         // Fixed-ops mode: both threads do exactly 400 ops → fairness 1.
         for rep in &r.per_rep_thread_ops {
