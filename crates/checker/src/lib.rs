@@ -12,8 +12,9 @@
 //!    prefill, the mixed phase, a concurrent drain by the same workers
 //!    and a single-threaded residual sweep, every operation stamped on
 //!    the log's logical clock.
-//! 2. [`verify::check`] replays the merged history through the rank
-//!    multiset the quality benchmark uses ([`seqpq::RankMultiset`]) and
+//! 2. [`verify::check`] reads the history through the quality
+//!    benchmark's replay ([`harness::replay`]), one pass that yields
+//!    each deletion's in-flight low and the conservation tally, and
 //!    reports conservation violations (lost / duplicated / invented
 //!    items), rank-bound violations against each queue's
 //!    [`pq_traits::RelaxationBound`], and strict-order violations for
@@ -66,9 +67,10 @@ pub struct CheckConfig {
     pub seed: u64,
     /// Also check per-thread deletion monotonicity during the
     /// *concurrent* drain phase. Only valid for fully linearizable
-    /// strict queues (`linden`, `global-lock`); queues that are strict
-    /// only up to in-flight operations (hunt, mound, cbpq) may
-    /// legitimately reorder within a thread under contention. The
+    /// strict queues, the ones [`harness::QueueSpec::strict_drain`]
+    /// names; queues that are strict only up to in-flight operations
+    /// (hunt, mound, cbpq) may legitimately reorder within a thread
+    /// under contention. The
     /// single-threaded residual-sweep order check applies to every
     /// declared-strict queue regardless of this flag.
     pub strict_drain_check: bool,

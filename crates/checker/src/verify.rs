@@ -1,11 +1,8 @@
 //! History verification: conservation, rank-bound replay, and
 //! strict-order spot checks.
 
-use std::collections::{HashMap, HashSet};
-
 use harness::RecordedRun;
-use pq_traits::{Item, Key, Op, RelaxationBound};
-use seqpq::RankMultiset;
+use pq_traits::{Key, Op, RelaxationBound};
 
 use crate::CheckConfig;
 
@@ -128,19 +125,6 @@ impl CheckReport {
     }
 }
 
-/// A successful deletion between its invocation probe and its
-/// completion in the rank replay.
-struct InFlight {
-    /// Index of its record.
-    rec_idx: usize,
-    /// The key it returned.
-    key: Key,
-    /// Live items with a smaller key at this replay step.
-    now: u64,
-    /// The lowest `now` since the probe.
-    low: u64,
-}
-
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -157,21 +141,20 @@ fn json_escape(s: &str) -> String {
 /// Verify one recorded run against the queue's declared semantics.
 ///
 /// Checks, in order:
-/// 1. **Conservation** — the multiset of deleted items equals the
-///    multiset of inserted items (the run ends with a residual
-///    sweep to emptiness, so nothing may remain): shortfalls are
-///    *lost*, excesses of inserted items are *duplicated*, deletions
-///    of unknown items are *invented*.
-/// 2. **Rank replay** — all records merged by logical timestamp and
-///    replayed through a [`RankMultiset`]; each deletion's rank
-///    (count of strictly smaller keys present, taken as the minimum
-///    over every replay step from the operation's invocation stamp to
-///    its completion stamp, since its effect landed somewhere in
-///    between) must stay within the declared [`RelaxationBound`] plus
-///    [`rank_slack`].
-/// 3. **Strict spot checks** (declared bound 0 only) — per-thread
+/// 1. **Strict spot checks** (declared bound 0 only) — per-thread
 ///    drain-phase deletions are non-decreasing, and the single-threaded
 ///    residual sweep is exactly sorted.
+/// 2. **Rank replay** — the run goes through [`harness::replay`], the
+///    quality benchmark's replay; each deletion's in-flight low (the
+///    lowest count of strictly smaller live keys at any replay step
+///    from its invocation stamp to its completion stamp, since its
+///    effect landed somewhere in between) must stay within the declared
+///    [`RelaxationBound`] plus [`rank_slack`]. A deletion stamped
+///    before its insert is not ranked.
+/// 3. **Conservation** — the run ends with a residual sweep to
+///    emptiness, so nothing may remain: items the replay leaves live
+///    are *lost*, deletions it leaves parked are *duplicated* (the item
+///    was inserted) or *invented* (it never was).
 pub fn check<Q: RelaxationBound>(
     queue_name: &str,
     queue: &Q,
@@ -185,194 +168,82 @@ pub fn check<Q: RelaxationBound>(
     let slack = rank_slack(threads);
     let strict = bound == Some(0) && enforced;
 
-    let mut report = CheckReport {
+    // --- Strict per-thread order (uses per-handle record streams,
+    // which are in program order by construction). The mixed phase's
+    // concurrent inserts may reorder deletions; the concurrent drain is
+    // checked only on request (`cfg.strict_drain_check`): queues that
+    // are strict only up to in-flight operations (hunt, mound, cbpq)
+    // may reorder within a thread under contention, but the
+    // single-threaded residual sweep must be sorted for every
+    // declared-strict queue.
+    let (mut monotonicity_violations, mut residual_order_violations) = (0, 0);
+    let from = if cfg.strict_drain_check { run.drain_start } else { run.residual_start };
+    if strict {
+        for history in &run.histories {
+            let mut prev: Option<Key> = None;
+            for rec in history.iter().filter(|r| r.ts >= from) {
+                let Op::DeleteMin(Some(item)) = rec.op else { continue };
+                if prev.is_some_and(|p| item.key < p) {
+                    if rec.ts >= run.residual_start {
+                        residual_order_violations += 1;
+                    } else {
+                        monotonicity_violations += 1;
+                    }
+                }
+                prev = Some(item.key);
+            }
+        }
+    }
+
+    // --- Rank replay. Both endpoints of a deletion's interval can be
+    // high when it is in flight long: peers delete the smaller items
+    // present at its invocation, then inserters add new smaller ones
+    // before its completion. A step in between where the rank was small
+    // exonerates the queue, so the low is what is judged.
+    let (mut rank_checked, mut rank_sum, mut rank_max, mut rank_violations) = (0, 0, 0, 0);
+    let tally = harness::replay(&run.histories, |d| {
+        let Some(rank) = d.low else { return };
+        rank_checked += 1;
+        rank_sum += rank;
+        rank_max = rank_max.max(rank);
+        if let (true, Some(b)) = (enforced, bound) {
+            if rank > b + slack {
+                rank_violations += 1;
+            }
+        }
+    });
+
+    CheckReport {
         queue: queue_name.to_owned(),
         threads: cfg.threads,
         workload: cfg.workload.name(),
         key_dist: cfg.key_dist.name(),
         seed: cfg.seed,
         chaos_seed,
-        inserts: 0,
-        deletes: 0,
-        empty_deletes: 0,
-        flushed_items: 0,
-        lost: 0,
-        duplicated: 0,
-        invented: 0,
-        rank_checked: 0,
-        rank_max: 0,
-        rank_mean: 0.0,
+        inserts: tally.inserts,
+        deletes: tally.deletes,
+        empty_deletes: tally.empty_deletes,
+        flushed_items: tally.flushed_items,
+        lost: tally.lost,
+        duplicated: tally.duplicated,
+        invented: tally.invented,
+        rank_checked,
+        rank_max,
+        rank_mean: if rank_checked > 0 { rank_sum as f64 / rank_checked as f64 } else { 0.0 },
         rank_bound: bound,
         rank_bound_enforced: enforced,
         rank_slack: slack,
-        rank_violations: 0,
+        rank_violations,
         strict,
-        monotonicity_violations: 0,
-        residual_order_violations: 0,
-    };
-
-    // --- Strict per-thread order (uses per-handle record streams,
-    // which are in program order by construction). The concurrent
-    // drain-phase check is opt-in (`cfg.strict_drain_check`): queues
-    // that are strict only up to in-flight operations (hunt, mound,
-    // cbpq) may reorder within a thread under contention, but the
-    // single-threaded residual sweep must be sorted for every
-    // declared-strict queue.
-    if strict {
-        for history in &run.histories {
-            let mut prev: Option<Item> = None;
-            for rec in history {
-                if rec.ts < run.drain_start {
-                    continue; // mixed phase: concurrent inserts allowed
-                }
-                if rec.ts < run.residual_start && !cfg.strict_drain_check {
-                    continue; // concurrent drain: check not requested
-                }
-                if let Op::DeleteMin(Some(item)) = rec.op {
-                    if let Some(p) = prev {
-                        if item.key < p.key {
-                            if rec.ts >= run.residual_start {
-                                report.residual_order_violations += 1;
-                            } else {
-                                report.monotonicity_violations += 1;
-                            }
-                        }
-                    }
-                    prev = Some(item);
-                }
-            }
-        }
+        monotonicity_violations,
+        residual_order_violations,
     }
-
-    // --- Merge all records into one replay stream. Each record is
-    // processed at its unique completion stamp; each successful
-    // deletion additionally gets a probe point at its invocation stamp,
-    // where its would-be rank is sampled *before* any operation that
-    // completed later takes effect, and from where the replay follows
-    // that rank to the deletion's completion. An op whose invocation load
-    // returned `v` started after every op with completion stamp `< v`
-    // had finished, so probes (`false`) sort before same-valued
-    // completions (`true`).
-    let records: Vec<_> = run.histories.iter().flatten().copied().collect();
-    let mut events: Vec<(u64, bool, usize)> = Vec::with_capacity(records.len() * 2);
-    // Deletions between their probe and their completion. A thread has
-    // one operation in flight at a time, so this holds at most one
-    // entry per thread.
-    let mut in_flight: Vec<InFlight> = Vec::new();
-    for (rec_idx, rec) in records.iter().enumerate() {
-        if let Op::DeleteMin(Some(_)) = rec.op {
-            events.push((rec.start, false, rec_idx));
-        }
-        events.push((rec.ts, true, rec_idx));
-    }
-    events.sort_unstable();
-
-    // --- Rank replay; what it leaves behind settles conservation.
-    let mut inserted: HashSet<Item> = HashSet::new();
-    // Deletions observed before their insert's (later) timestamp; the
-    // matching insert annihilates against this instead of entering the
-    // live multiset.
-    let mut pending: HashMap<Item, u64> = HashMap::new();
-    let mut live = RankMultiset::new(
-        records
-            .iter()
-            .filter_map(|rec| match rec.op {
-                Op::Insert(item) => Some(item.key),
-                _ => None,
-            })
-            .collect(),
-    );
-    let mut rank_sum = 0u64;
-
-    for &(_, commit, rec_idx) in &events {
-        match records[rec_idx].op {
-            // Only deletions have probe points.
-            Op::DeleteMin(Some(item)) if !commit => {
-                let rank = live.rank_below(item.key);
-                in_flight.push(InFlight { rec_idx, key: item.key, now: rank, low: rank });
-            }
-            Op::Insert(item) => {
-                report.inserts += 1;
-                inserted.insert(item);
-                match pending.get_mut(&item) {
-                    Some(n) => {
-                        *n -= 1;
-                        if *n == 0 {
-                            pending.remove(&item);
-                        }
-                    }
-                    None => {
-                        live.insert(item);
-                        for d in in_flight.iter_mut().filter(|d| item.key < d.key) {
-                            d.now += 1;
-                        }
-                    }
-                }
-            }
-            Op::DeleteMin(Some(item)) => {
-                report.deletes += 1;
-                // Rank before removal: strictly smaller keys present.
-                // The effect landed somewhere in [start, ts]; a step of
-                // the replay in between where the rank was small
-                // exonerates the queue, so judge the lowest rank since
-                // the probe. Both endpoints can be high when the
-                // deletion is in flight long: peers delete the smaller
-                // items present at its invocation, then inserters add
-                // new smaller ones before its completion.
-                let at = in_flight
-                    .iter()
-                    .position(|d| d.rec_idx == rec_idx)
-                    .expect("a deletion is probed before it completes");
-                let d = in_flight.swap_remove(at);
-                debug_assert_eq!(d.now, live.rank_below(item.key));
-                let rank = d.low;
-                if live.remove(&item) {
-                    for d in in_flight.iter_mut().filter(|d| item.key < d.key) {
-                        d.now -= 1;
-                        d.low = d.low.min(d.now);
-                    }
-                    report.rank_checked += 1;
-                    rank_sum += rank;
-                    report.rank_max = report.rank_max.max(rank);
-                    if let (true, Some(b)) = (enforced, bound) {
-                        if rank > b + slack {
-                            report.rank_violations += 1;
-                        }
-                    }
-                } else {
-                    // Timestamp inversion (or an invented item, which
-                    // conservation flags below).
-                    *pending.entry(item).or_default() += 1;
-                }
-            }
-            Op::DeleteMin(None) => report.empty_deletes += 1,
-            Op::Flush(n) => report.flushed_items += n,
-        }
-    }
-    if report.rank_checked > 0 {
-        report.rank_mean = rank_sum as f64 / report.rank_checked as f64;
-    }
-
-    // --- Conservation verdicts. An item is never both live and
-    // parked (an insert annihilates a parked deletion first, a deletion
-    // takes a live instance first), so what the replay leaves live was
-    // lost and what it leaves parked was duplicated or invented.
-    report.lost = live.live_count();
-    for (item, n) in pending {
-        if inserted.contains(&item) {
-            report.duplicated += n;
-        } else {
-            report.invented += n;
-        }
-    }
-
-    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pq_traits::OpRecord;
+    use pq_traits::{Item, OpRecord};
 
     /// A queue that is nothing but its declared bound: `check` reads
     /// only that, so hand-built histories need no real queue.
@@ -516,17 +387,16 @@ mod tests {
         // `(100, 0)` is the minimum when the deletion is invoked; 20
         // smaller keys are inserted while it is in flight, so its
         // completion-stamp rank is 20 > 0 + slack.
-        let history = |del_start| {
-            let mut h = vec![rec(0, 0, ins(100, 0))];
-            h.extend((0..20).map(|k| rec(k + 1, k + 1, ins(k, k + 1))));
-            h.push(rec(del_start, 21, del(100, 0)));
-            h
+        let histories = |del_start| {
+            let mut inserter = vec![rec(0, 0, ins(100, 0))];
+            inserter.extend((0..20).map(|k| rec(k + 1, k + 1, ins(k, k + 1))));
+            vec![inserter, vec![rec(del_start, 21, del(100, 0))]]
         };
-        let r = check_histories(vec![history(1)]);
+        let r = check_histories(histories(1));
         assert_eq!((r.rank_checked, r.rank_max, r.rank_violations), (1, 0, 0));
         // Invoked after the inserts, the same deletion has rank 20 at
         // both endpoints and is a violation.
-        let r = check_histories(vec![history(21)]);
+        let r = check_histories(histories(21));
         assert_eq!((r.rank_checked, r.rank_max, r.rank_violations), (1, 20, 1));
     }
 
@@ -549,5 +419,51 @@ mod tests {
         let r = check_histories(vec![setup, peer, deleter]);
         assert!(r.is_clean(), "{}", r.violation_json());
         assert_eq!((r.rank_checked, r.rank_max), (41, 0));
+    }
+
+    #[test]
+    fn one_replay_read_by_quality_and_checker() {
+        // Four handles, interleaved:
+        //   ts 0–1  setup   inserts (10, 0) and (1, 1)
+        //   ts 5    A       deletes (10, 0), invoked at 2: rank 1 then,
+        //                   0 once B's deletion lands, 2 at completion
+        //   ts 2–4  B       deletes (1, 1), inserts (2, 2) and (3, 3)
+        //   ts 6    C       deletes (20, 4), stamped before its insert
+        //   ts 7    B       inserts (20, 4): C's deletion is scored now
+        //   ts 8    B       deletes (2, 2)
+        //   ts 9    C       deletes (3, 3), invoked at 7
+        let setup = vec![rec(0, 0, ins(10, 0)), rec(1, 1, ins(1, 1))];
+        let a = vec![rec(2, 5, del(10, 0))];
+        let b = vec![
+            rec(2, 2, del(1, 1)),
+            rec(3, 3, ins(2, 2)),
+            rec(4, 4, ins(3, 3)),
+            rec(6, 7, ins(20, 4)),
+            rec(8, 8, del(2, 2)),
+        ];
+        let c = vec![rec(6, 6, del(20, 4)), rec(7, 9, del(3, 3))];
+        let histories = vec![setup, a, b, c];
+
+        let mut quality = Vec::new();
+        harness::replay(&histories, |d| quality.push((d.item.key, d.rank, d.low, d.delay)));
+        assert_eq!(
+            quality,
+            vec![
+                (1, 0, Some(0), 0),
+                // In flight, (10, 0) was the minimum for a moment.
+                (10, 2, Some(0), 0),
+                // Inverted: quality scores it, the checker cannot.
+                (20, 2, None, 0),
+                // Passed over by the deletions of 10 and 20.
+                (2, 0, Some(0), 2),
+                (3, 0, Some(0), 2),
+            ]
+        );
+
+        // The checker ranks the four deletions with a low, by the low.
+        let r = check_histories(histories);
+        assert!(r.is_clean(), "{}", r.violation_json());
+        assert_eq!((r.inserts, r.deletes, r.lost), (5, 5, 0));
+        assert_eq!((r.rank_checked, r.rank_max, r.rank_mean), (4, 0, 0.0));
     }
 }

@@ -10,12 +10,14 @@
 //!   benchmarks run it too, quality on a recorded queue and latency
 //!   with a per-thread timing probe, and so does the `checker` crate.
 //! * [`quality`] — the rank-error benchmark (appendix F): log every
-//!   operation through [`pq_traits::Recorded`], merge the per-thread
-//!   logs by completion stamp, replay the sequence through
-//!   [`seqpq::RankMultiset`] and record the rank of every deleted item.
+//!   operation through [`pq_traits::Recorded`], replay the per-thread
+//!   logs in completion-stamp order through [`seqpq::RankMultiset`] and
+//!   record the rank of every deleted item.
 //!   [`run_recorded`] is that recorded run on its own; with its drain
 //!   phase on, the workers and one extra handle then empty the queue,
-//!   which is the run the `checker` crate verifies.
+//!   which is the run the `checker` crate verifies. [`replay`] is the
+//!   one replay of a recorded run: quality folds its completion ranks
+//!   and delays, the checker its in-flight lows and its tally.
 //! * [`latency`] — appendix F's throughput/latency switch: per-operation
 //!   wall times with insert/delete percentile profiles.
 //! * [`stats`] — mean / standard deviation / confidence intervals.
@@ -34,7 +36,7 @@ pub mod throughput;
 
 pub use experiments::Experiment;
 pub use latency::{run_latency, LatencyProfile, LatencyResult};
-pub use quality::{run_quality, run_recorded, QualityResult, RecordedRun};
+pub use quality::{replay, run_quality, run_recorded, Deletion, QualityResult, RecordedRun, Tally};
 pub use registry::QueueSpec;
 pub use stats::{Histogram, Summary};
 pub use throughput::{run_throughput, run_throughput_with, ThroughputResult};

@@ -11,16 +11,19 @@
 //! The log is [`pq_traits::Recorded`], the same one the checker
 //! verifies: every operation, prefill inserts included, gets a unique
 //! completion stamp from the queue-wide SeqCst clock once it has
-//! returned, so sorting by stamp yields a valid linearization order
-//! directly (see DESIGN.md §2). The replay structure is `seqpq`'s
+//! returned, so completion-stamp order is a valid linearization order
+//! directly (see DESIGN.md §2). [`replay`] walks the per-handle logs in
+//! that order, in place, and is the one replay of a recorded run: the
+//! quality benchmark folds its completion ranks and delays, the checker
+//! its in-flight lows and its tally. The replay structure is `seqpq`'s
 //! [`RankMultiset`], a count of live items per key; because the log
 //! stores full `(key, unique value)` items, our replay does **not**
 //! inflate ranks for duplicate keys — deletions remove the exact item
 //! instance.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
-use pq_traits::{ConcurrentPq, Op, OpRecord, PqHandle, Recorded, Value};
+use pq_traits::{ConcurrentPq, Item, Key, Op, OpRecord, PqHandle, Recorded, Value};
 use seqpq::{Fenwick, RankMultiset};
 use workloads::config::{StopCondition, PREFILL_TAG};
 use workloads::BenchConfig;
@@ -116,13 +119,22 @@ pub fn run_quality(spec: QueueSpec, cfg: &BenchConfig) -> QualityResult {
     let histories = with_queue!(spec, cfg.threads, q => {
         run_recorded(&Recorded::new(q), &cfg, false).histories
     });
-    // The log is the run's largest allocation and briefly exists twice
-    // while the histories are joined: the prefill and the queue go
-    // first, the histories right after.
-    let mut log = histories.concat();
+    // Sized up front, as is the replay's key universe: vectors grown by
+    // doubling raise the run's peak RSS (EXPERIMENTS.md "One replay for
+    // quality and the checker").
+    let n = histories
+        .iter()
+        .flatten()
+        .filter(|r| matches!(r.op, Op::DeleteMin(Some(_))))
+        .count();
+    let (mut ranks, mut delays) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    replay(&histories, |d| {
+        ranks.push(d.rank);
+        delays.push(d.delay);
+    });
+    // The log is the run's largest allocation: the prefill and the
+    // queue go before the replay, the log before the summary.
     drop(histories);
-    log.sort_unstable_by_key(|r| r.ts);
-    let (mut ranks, delays) = replay(&log);
     let rank = Summary::of_u64(&ranks);
     ranks.sort_unstable();
     let pct = |p: f64| -> u64 {
@@ -144,17 +156,56 @@ pub fn run_quality(spec: QueueSpec, cfg: &BenchConfig) -> QualityResult {
     }
 }
 
-/// Replay the log, sorted by completion stamp, through a
-/// [`RankMultiset`], recording the rank of every deleted item. Flushes
-/// and empty deletions carry no item and are skipped.
+/// One deletion as the replay scores it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Deletion {
+    /// The deleted item.
+    pub item: Item,
+    /// Live items with a strictly smaller key at the step where the
+    /// deletion is scored: its completion, or its insert's for a
+    /// deletion stamped before its insert. The paper's rank.
+    pub rank: u64,
+    /// The lowest such count at any step from the deletion's invocation
+    /// stamp to its completion stamp, where its effect landed: the rank
+    /// a checker can blame on the queue. `None` for a deletion scored
+    /// at its insert.
+    pub low: Option<u64>,
+    /// Deletions of strictly larger keys while the item was live.
+    pub delay: u64,
+}
+
+/// What a replay counted besides the scored deletions.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Tally {
+    /// Insert records.
+    pub inserts: u64,
+    /// Successful deletion records, scored or not.
+    pub deletes: u64,
+    /// `delete_min() == None` records.
+    pub empty_deletes: u64,
+    /// Items reported committed by `flush()` records.
+    pub flushed_items: u64,
+    /// Items still live at the end.
+    pub lost: u64,
+    /// Unscored deletions of an item the log inserts.
+    pub duplicated: u64,
+    /// Deletions of an item the log never inserts.
+    pub invented: u64,
+}
+
+/// Replay a recorded run through a [`RankMultiset`] of the live items,
+/// every record at its completion stamp, calling `on_delete` for each
+/// deletion as it is scored.
 ///
 /// The rank of a deleted item is the number of live items with a
 /// **strictly smaller key**, so equal-key ties never inflate ranks.
+/// Each successful deletion is also probed at its invocation stamp and
+/// followed to its completion for its in-flight low.
 ///
-/// A deletion may appear in the log slightly before its matching insert
-/// (the stamp is taken after the operation completes, so two racing
-/// operations can invert); such deletions are parked and scored with
-/// the rank and delay the item has when its insert arrives.
+/// A deletion may be stamped before its matching insert (two racing
+/// operations can invert); it is parked and scored when the insert
+/// arrives. Deletions still parked at the end are duplicates or
+/// inventions.
 ///
 /// Alongside ranks, the replay computes per-item *delay* (Rihani et al.):
 /// how many deletions of strictly larger keys occurred while the item was
@@ -162,57 +213,110 @@ pub fn run_quality(spec: QueueSpec, cfg: &BenchConfig) -> QualityResult {
 /// of `x` passes over every live smaller key" into a prefix add; an
 /// item's delay is the point value at its key, relative to a baseline
 /// captured when the item entered the queue.
-fn replay(log: &[OpRecord]) -> (Vec<u64>, Vec<u64>) {
-    let mut live = RankMultiset::new(
-        log.iter()
-            .filter_map(|r| match r.op {
-                Op::Insert(item) => Some(item.key),
-                _ => None,
-            })
-            .collect(),
-    );
+pub fn replay(histories: &[Vec<OpRecord>], mut on_delete: impl FnMut(Deletion)) -> Tally {
+    // Sized up front; see `run_quality`.
+    let keys = || {
+        histories.iter().flatten().filter_map(|r| match r.op {
+            Op::Insert(item) => Some(item.key),
+            _ => None,
+        })
+    };
+    let mut universe = Vec::with_capacity(keys().count());
+    universe.extend(keys());
+    let mut live = RankMultiset::new(universe);
     let mut passes = Fenwick::new(live.universe_len());
     // A B-tree, like the multiset's item counts: its memory follows the
     // live count, which a hash map under this churn overshoots.
     let mut baselines: BTreeMap<Value, i64> = BTreeMap::new();
-    let mut ranks = Vec::new();
-    let mut delays = Vec::new();
-    let mut pending: HashSet<Value> = HashSet::new();
-    for r in log {
-        let (item, is_insert) = match r.op {
-            Op::Insert(item) => (item, true),
-            Op::DeleteMin(Some(item)) => (item, false),
-            Op::DeleteMin(None) | Op::Flush(_) => continue,
-        };
-        if is_insert {
-            live.insert(item);
-            baselines.insert(item.value, passes.get(live.key_index(item.key)));
-            // A deletion already observed deletes the item right away:
-            // it spent no time in the replay queue, and its rank/delay
-            // are what they'd have been on arrival.
-            if !pending.remove(&item.value) {
-                continue;
+    let mut parked: HashMap<Item, u64> = HashMap::new();
+    let mut tally = Tally::default();
+    // The histories are walked in place. Each is in program order, so
+    // its next record is the only one of it that can be in flight: the
+    // handle invoked it after its previous record completed. A probed
+    // deletion's key and lowest rank so far sit beside it.
+    let mut next = vec![0; histories.len()];
+    let mut in_flight: Vec<Option<(Key, u64)>> = vec![None; histories.len()];
+    let mut last = 0;
+    // The next event is the least over the histories' next records: a
+    // successful deletion's probe at `start` until it is probed, else
+    // the completion at `ts`. An operation whose invocation load
+    // returned `v` started after every operation stamped below `v` had
+    // completed, so probes go before completions of equal stamp.
+    while let Some((stamp, completion, h)) = (0..histories.len())
+        .filter_map(|h| {
+            let rec = histories[h].get(next[h])?;
+            Some(match rec.op {
+                Op::DeleteMin(Some(_)) if in_flight[h].is_none() => (rec.start, false, h),
+                _ => (rec.ts, true, h),
+            })
+        })
+        .min()
+    {
+        debug_assert!(stamp >= last, "history {h} is not sorted by its stamps");
+        last = stamp;
+        let rec = histories[h][next[h]];
+        next[h] += usize::from(completion);
+        match rec.op {
+            Op::DeleteMin(Some(item)) if !completion => {
+                in_flight[h] = Some((item.key, live.rank_below(item.key)));
+            }
+            Op::Insert(item) => {
+                tally.inserts += 1;
+                let idx = live.key_index(item.key);
+                if let Some(n) = parked.get_mut(&item).filter(|n| **n > 0) {
+                    // The item spends no time in the replay queue, so
+                    // the live set stays as it is.
+                    *n -= 1;
+                    let rank = live.rank_below(item.key);
+                    on_delete(Deletion { item, rank, low: None, delay: 0 });
+                    passes.prefix_add(idx, 1);
+                } else {
+                    live.insert(item);
+                    baselines.insert(item.value, passes.get(idx));
+                }
+            }
+            Op::DeleteMin(Some(item)) => {
+                tally.deletes += 1;
+                let (_, low) = in_flight[h].take().expect("probed before its completion");
+                let rank = live.rank_below(item.key);
+                if !live.remove(&item) {
+                    *parked.entry(item).or_default() += 1;
+                    continue;
+                }
+                // Only a removal lowers the ranks of the others in flight.
+                for (key, lowest) in in_flight.iter_mut().flatten() {
+                    *lowest = (*lowest).min(live.rank_below(*key));
+                }
+                let idx = live.key_index(item.key);
+                let baseline = baselines.remove(&item.value).unwrap_or(0);
+                let delay = (passes.get(idx) - baseline).max(0) as u64;
+                on_delete(Deletion { item, rank, low: Some(low), delay });
+                // This deletion passes over every live item with a smaller key.
+                passes.prefix_add(idx, 1);
+            }
+            Op::DeleteMin(None) => tally.empty_deletes += 1,
+            Op::Flush(n) => tally.flushed_items += n,
+        }
+    }
+    // An item is never both live and parked (an insert meets a parked
+    // deletion first, a deletion a live instance), so what is live now
+    // was lost, and a parked deletion duplicates an item the log
+    // inserts or invents one it does not.
+    tally.lost = live.live_count();
+    if !parked.is_empty() {
+        for rec in histories.iter().flatten() {
+            if let Op::Insert(item) = rec.op {
+                tally.duplicated += parked.remove(&item).unwrap_or(0);
             }
         }
-        let rank = live.rank_below(item.key);
-        if !live.remove(&item) {
-            pending.insert(item.value);
-            continue;
-        }
-        let idx = live.key_index(item.key);
-        let baseline = baselines.remove(&item.value).unwrap_or(0);
-        ranks.push(rank);
-        delays.push((passes.get(idx) - baseline).max(0) as u64);
-        // This deletion passes over every live item with a smaller key.
-        passes.prefix_add(idx, 1);
+        tally.invented = parked.values().sum();
     }
-    (ranks, delays)
+    tally
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pq_traits::Item;
     use workloads::{KeyDistribution, Workload};
 
     fn tiny_cfg(threads: usize) -> BenchConfig {
@@ -327,68 +431,94 @@ mod tests {
         Op::DeleteMin(Some(Item::new(key, value)))
     }
 
-    /// `ops` as a log stamped in the given order.
-    fn log(ops: &[Op]) -> Vec<OpRecord> {
-        (0..)
+    /// `ops` as one handle's log, stamped in the given order.
+    fn log(ops: &[Op]) -> Vec<Vec<OpRecord>> {
+        vec![(0..)
             .zip(ops)
             .map(|(ts, &op)| OpRecord { start: ts, ts, op })
-            .collect()
+            .collect()]
+    }
+
+    /// Every scored deletion of a replay, in scoring order.
+    fn deletions(histories: &[Vec<OpRecord>]) -> Vec<Deletion> {
+        let mut out = Vec::new();
+        replay(histories, |d| out.push(d));
+        out
+    }
+
+    fn ranks(histories: &[Vec<OpRecord>]) -> Vec<u64> {
+        deletions(histories).iter().map(|d| d.rank).collect()
+    }
+
+    fn delays(histories: &[Vec<OpRecord>]) -> Vec<u64> {
+        deletions(histories).iter().map(|d| d.delay).collect()
     }
 
     #[test]
     fn replay_handles_inverted_delete_insert_pairs() {
         // The delete of (5, 1) is stamped before its insert; it is
-        // scored when the insert arrives, against the smaller key 2.
-        let (ranks, delays) = replay(&log(&[ins(2, 0), del(5, 1), ins(5, 1)]));
-        assert_eq!(ranks, vec![1]);
-        assert_eq!(delays, vec![0]);
+        // scored when the insert arrives, against the smaller key 2,
+        // with no delay and no in-flight low.
+        let d = deletions(&log(&[ins(2, 0), del(5, 1), ins(5, 1)]));
+        let scored = Deletion { item: Item::new(5, 1), rank: 1, low: None, delay: 0 };
+        assert_eq!(d, vec![scored]);
     }
 
     #[test]
     fn replay_ranks_against_prefill() {
         // Prefill {0,10,20}; delete key 20 → rank 2.
-        let (ranks, _) = replay(&log(&[
+        let r = ranks(&log(&[
             ins(0, 100),
             ins(10, 101),
             ins(20, 102),
             del(20, 102),
         ]));
-        assert_eq!(ranks, vec![2]);
+        assert_eq!(r, vec![2]);
     }
 
     #[test]
     fn replay_skips_flushes_and_empty_deletes() {
-        let (ranks, _) = replay(&log(&[
+        let h = log(&[
             ins(3, 0),
             Op::DeleteMin(None),
             ins(1, 1),
             Op::Flush(2),
             del(3, 0),
-        ]));
-        assert_eq!(ranks, vec![1]);
+        ]);
+        assert_eq!(ranks(&h), vec![1]);
+        let tally = replay(&h, |_| ());
+        let counted = Tally {
+            inserts: 2,
+            deletes: 1,
+            empty_deletes: 1,
+            flushed_items: 2,
+            lost: 1,
+            ..Tally::default()
+        };
+        assert_eq!(tally, counted);
     }
 
     #[test]
     fn replay_delay_counts_passes_by_larger_deletions() {
         // Prefill {1, 5, 9}. Delete 9 (passes 1 and 5), delete 5
         // (passes 1), delete 1: delays 0, 1, 2 in deletion order.
-        let (ranks, delays) = replay(&log(&[
+        let h = log(&[
             ins(1, 0),
             ins(5, 1),
             ins(9, 2),
             del(9, 2),
             del(5, 1),
             del(1, 0),
-        ]));
-        assert_eq!(ranks, vec![2, 1, 0]);
-        assert_eq!(delays, vec![0, 1, 2]);
+        ]);
+        assert_eq!(ranks(&h), vec![2, 1, 0]);
+        assert_eq!(delays(&h), vec![0, 1, 2]);
     }
 
     #[test]
     fn replay_delay_baseline_excludes_pre_insert_passes() {
         // Delete 9 from the prefill first, THEN insert 1; 1's delay must
         // not count the earlier pass.
-        let (_, delays) = replay(&log(&[
+        let d = delays(&log(&[
             ins(9, 2),
             ins(3, 3),
             del(9, 2),
@@ -399,7 +529,134 @@ mod tests {
         // 9: delay 0 (prefill baseline, nothing deleted before).
         // 3: passed over once (by 9's deletion).
         // 1: inserted after 9's deletion; only 3's deletion passes it.
-        assert_eq!(delays, vec![0, 1, 1]);
+        assert_eq!(d, vec![0, 1, 1]);
+    }
+
+    /// Histories of four handles driven by `steps`: a step of a handle
+    /// with no operation in flight invokes its next one (`start` is a
+    /// load of the clock), otherwise it completes the one in flight
+    /// (`ts` is the clock's next value), so the stamps are valid
+    /// `Recorded` stamps. Items are `(5·v mod 7, v)`, inserts take
+    /// fresh values and deletions any value below 100, so the histories
+    /// hold deletions stamped before their insert, duplicated and
+    /// invented deletions, and equal keys.
+    fn simulate(steps: &[(usize, u64, u64)]) -> Vec<Vec<OpRecord>> {
+        let item = |v: u64| Item::new(5 * v % 7, v);
+        let mut histories = vec![Vec::new(); 4];
+        let mut invoked: Vec<Option<(u64, Op)>> = vec![None; 4];
+        let (mut clock, mut fresh) = (0, 0);
+        for &(h, kind, v) in steps {
+            match invoked[h].take() {
+                Some((start, op)) => {
+                    histories[h].push(OpRecord { start, ts: clock, op });
+                    clock += 1;
+                }
+                None => {
+                    let op = match kind {
+                        0..=3 => {
+                            fresh += 1;
+                            Op::Insert(item(fresh - 1))
+                        }
+                        4..=6 => Op::DeleteMin(Some(item(v))),
+                        7 => Op::DeleteMin(None),
+                        _ => Op::Flush(v),
+                    };
+                    invoked[h] = Some((clock, op));
+                }
+            }
+        }
+        histories
+    }
+
+    /// The replay as one sort: the records concatenated, a probe event
+    /// at each successful deletion's `start` and a completion event at
+    /// every record's `ts`, sorted with probes first on equal stamps.
+    /// Plain vectors stand in for the rank structures: the live items
+    /// with their delays so far, the parked deletions and the in-flight
+    /// lows, each low refreshed after every event.
+    fn sorted_replay(histories: &[Vec<OpRecord>]) -> (Vec<Deletion>, Tally) {
+        let records = histories.concat();
+        let mut events: Vec<(u64, bool, usize)> = Vec::new();
+        for (i, r) in records.iter().enumerate() {
+            if let Op::DeleteMin(Some(_)) = r.op {
+                events.push((r.start, false, i));
+            }
+            events.push((r.ts, true, i));
+        }
+        events.sort_unstable();
+        let below = |live: &[(Item, u64)], key: Key| {
+            live.iter().filter(|(it, _)| it.key < key).count() as u64
+        };
+        let pass = |live: &mut [(Item, u64)], key: Key| {
+            for (_, delay) in live.iter_mut().filter(|(it, _)| it.key < key) {
+                *delay += 1;
+            }
+        };
+        let mut live: Vec<(Item, u64)> = Vec::new();
+        let mut parked: Vec<Item> = Vec::new();
+        let mut lows: Vec<(usize, Key, u64)> = Vec::new();
+        let (mut out, mut tally) = (Vec::new(), Tally::default());
+        for (_, completion, i) in events {
+            match records[i].op {
+                Op::DeleteMin(Some(item)) if !completion => {
+                    lows.push((i, item.key, below(&live, item.key)));
+                }
+                Op::Insert(item) => {
+                    tally.inserts += 1;
+                    match parked.iter().position(|&p| p == item) {
+                        Some(p) => {
+                            parked.swap_remove(p);
+                            let rank = below(&live, item.key);
+                            out.push(Deletion { item, rank, low: None, delay: 0 });
+                            pass(&mut live, item.key);
+                        }
+                        None => live.push((item, 0)),
+                    }
+                }
+                Op::DeleteMin(Some(item)) => {
+                    tally.deletes += 1;
+                    let at = lows.iter().position(|l| l.0 == i).unwrap();
+                    let (_, _, low) = lows.swap_remove(at);
+                    match live.iter().position(|&(it, _)| it == item) {
+                        Some(p) => {
+                            let rank = below(&live, item.key);
+                            let (_, delay) = live.swap_remove(p);
+                            out.push(Deletion { item, rank, low: Some(low), delay });
+                            pass(&mut live, item.key);
+                        }
+                        None => parked.push(item),
+                    }
+                }
+                Op::DeleteMin(None) => tally.empty_deletes += 1,
+                Op::Flush(n) => tally.flushed_items += n,
+            }
+            for l in &mut lows {
+                l.2 = l.2.min(below(&live, l.1));
+            }
+        }
+        tally.lost = live.len() as u64;
+        for item in parked {
+            if records.iter().any(|r| r.op == Op::Insert(item)) {
+                tally.duplicated += 1;
+            } else {
+                tally.invented += 1;
+            }
+        }
+        (out, tally)
+    }
+
+    proptest::proptest! {
+        /// The in-place walk scores the same deletions, in the same
+        /// order, and counts the same tally as the sorted replay.
+        #[test]
+        fn prop_replay_matches_sorted_replay(
+            steps in proptest::collection::vec((0usize..4, 0u64..9, 0u64..100), 0..300)
+        ) {
+            let histories = simulate(&steps);
+            let mut walked = Vec::new();
+            let tally = replay(&histories, |d| walked.push(d));
+            proptest::prop_assert_eq!((walked, tally), sorted_replay(&histories));
+        }
     }
 
     #[test]

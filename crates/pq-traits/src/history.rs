@@ -5,8 +5,9 @@
 //! wraps any [`ConcurrentPq`] and stamps each operation twice on a
 //! queue-wide logical clock: a `start` load before the inner call and a
 //! unique `ts` `fetch_add` after it returns. It is also the harness's
-//! quality-benchmark log, which ranks deletions in completion-stamp
-//! order, so both replays see the same records. Each handle buffers its records in a plain `Vec`
+//! quality-benchmark log: one replay (`harness::replay`) walks the
+//! records in completion-stamp order and serves both the quality ranks
+//! and the checker's verdicts. Each handle buffers its records in a plain `Vec`
 //! and commits it to the queue-level registry when dropped, so the
 //! recording hot path is two atomics plus a vector push. Every
 //! operation also passes through [`crate::chaos::tick`], so a checker
@@ -78,7 +79,9 @@ impl<Q> Recorded<Q> {
 
     /// Drain every committed per-handle history. Histories from handles
     /// that are still alive are not included — drop (or flush and drop)
-    /// all handles first.
+    /// all handles first. Each history is in program order, so it is
+    /// sorted by `start` and by `ts` alike: a handle's next invocation
+    /// load follows its previous completion stamp.
     pub fn take_histories(&self) -> Vec<Vec<OpRecord>> {
         std::mem::take(&mut *self.histories.lock().unwrap())
     }
