@@ -21,7 +21,7 @@
 //! inflate ranks for duplicate keys — deletions remove the exact item
 //! instance.
 
-use std::collections::{BTreeMap, HashMap};
+use std::{cmp::Reverse, collections::{BTreeMap, BinaryHeap, HashMap}};
 
 use pq_traits::{ConcurrentPq, Item, Key, Op, OpRecord, PqHandle, Recorded, Value};
 use seqpq::{Fenwick, RankMultiset};
@@ -232,60 +232,67 @@ pub fn replay(histories: &[Vec<OpRecord>], mut on_delete: impl FnMut(Deletion)) 
     let mut tally = Tally::default();
     // The histories are walked in place. Each is in program order, so
     // its next record is the only one of it that can be in flight: the
-    // handle invoked it after its previous record completed. A probed
-    // deletion's key and lowest rank so far sit beside it.
+    // handle invoked it after its previous record completed. A heap
+    // holds each history's next event: a successful deletion's probe
+    // at `start` until it is probed, else the completion at `ts`. An
+    // operation whose invocation load returned `v` started after every
+    // operation stamped below `v` had completed, so probes go before
+    // completions of equal stamp.
+    let event = |h: usize, i: usize| {
+        let rec: &OpRecord = histories[h].get(i)?;
+        let probe = matches!(rec.op, Op::DeleteMin(Some(_)));
+        Some(Reverse(if probe { (rec.start, false, h) } else { (rec.ts, true, h) }))
+    };
+    let mut heap: BinaryHeap<_> = (0..histories.len()).filter_map(|h| event(h, 0)).collect();
     let mut next = vec![0; histories.len()];
-    let mut in_flight: Vec<Option<(Key, u64)>> = vec![None; histories.len()];
+    // The probed deletions, at most one per history: the history, the
+    // deleted key, the key's rank now and its lowest rank so far. Only
+    // an insert or removal of a smaller key moves the rank, by one.
+    let mut in_flight: Vec<(usize, Key, u64, u64)> = Vec::with_capacity(histories.len());
     let mut last = 0;
-    // The next event is the least over the histories' next records: a
-    // successful deletion's probe at `start` until it is probed, else
-    // the completion at `ts`. An operation whose invocation load
-    // returned `v` started after every operation stamped below `v` had
-    // completed, so probes go before completions of equal stamp.
-    while let Some((stamp, completion, h)) = (0..histories.len())
-        .filter_map(|h| {
-            let rec = histories[h].get(next[h])?;
-            Some(match rec.op {
-                Op::DeleteMin(Some(_)) if in_flight[h].is_none() => (rec.start, false, h),
-                _ => (rec.ts, true, h),
-            })
-        })
-        .min()
-    {
+    while let Some(Reverse((stamp, completion, h))) = heap.pop() {
         debug_assert!(stamp >= last, "history {h} is not sorted by its stamps");
         last = stamp;
         let rec = histories[h][next[h]];
         next[h] += usize::from(completion);
+        heap.extend(if completion { event(h, next[h]) } else { Some(Reverse((rec.ts, true, h))) });
         match rec.op {
             Op::DeleteMin(Some(item)) if !completion => {
-                in_flight[h] = Some((item.key, live.rank_below(item.key)));
+                let now = live.rank_below(item.key);
+                in_flight.push((h, item.key, now, now));
             }
             Op::Insert(item) => {
                 tally.inserts += 1;
                 let idx = live.key_index(item.key);
-                if let Some(n) = parked.get_mut(&item).filter(|n| **n > 0) {
+                if let Some(n) = parked.remove(&item) {
                     // The item spends no time in the replay queue, so
                     // the live set stays as it is.
-                    *n -= 1;
+                    if n > 1 {
+                        parked.insert(item, n - 1);
+                    }
                     let rank = live.rank_below(item.key);
                     on_delete(Deletion { item, rank, low: None, delay: 0 });
                     passes.prefix_add(idx, 1);
                 } else {
                     live.insert(item);
                     baselines.insert(item.value, passes.get(idx));
+                    for (_, _, now, _) in in_flight.iter_mut().filter(|d| item.key < d.1) {
+                        *now += 1;
+                    }
                 }
             }
             Op::DeleteMin(Some(item)) => {
                 tally.deletes += 1;
-                let (_, low) = in_flight[h].take().expect("probed before its completion");
-                let rank = live.rank_below(item.key);
+                let at = in_flight.iter().position(|d| d.0 == h);
+                let (_, _, rank, low) = in_flight.swap_remove(at.expect("probed before its completion"));
+                debug_assert_eq!(rank, live.rank_below(item.key));
                 if !live.remove(&item) {
                     *parked.entry(item).or_default() += 1;
                     continue;
                 }
-                // Only a removal lowers the ranks of the others in flight.
-                for (key, lowest) in in_flight.iter_mut().flatten() {
-                    *lowest = (*lowest).min(live.rank_below(*key));
+                for (_, _, now, lowest) in in_flight.iter_mut().filter(|d| item.key < d.1) {
+                    *now -= 1;
+                    *lowest = (*lowest).min(*now);
                 }
                 let idx = live.key_index(item.key);
                 let baseline = baselines.remove(&item.value).unwrap_or(0);
